@@ -25,21 +25,73 @@ from .experiments import (
     write_report,
 )
 
-_COMMON_FLAGS = ("dim", "trials", "seed", "tol", "output_format", "out")
-_EXTRA_FLAGS = {
-    "verify-norm": ("fixture",),
-    "verify-power": ("power_max",),
-    "verify-polynomial": ("poly_degree",),
-    "verify-schur": ("neumann_order",),
-    "shift-convergence": ("shift_dims",),
+#: Every flag: config field -> (option string, argparse keywords).  A field
+#: named in some experiment's ``ExperimentSpec.flags`` belongs to those
+#: experiments only; every other field is accepted by all of them.  Options
+#: default to None so that an absent flag falls through to the config file
+#: and then to the ``ExperimentConfig`` default.
+_FLAGS = {
+    "dim": ("--dim", dict(type=int, help="operator dimension n")),
+    "trials": ("--trials", dict(type=int, help="number of seeded trials")),
+    "seed": ("--seed", dict(type=int, help="64-bit experiment seed")),
+    "tol": (
+        "--tol",
+        dict(
+            type=float,
+            help="base tolerance (default {base_tol:g}); "
+            "secondary thresholds scale proportionally",
+        ),
+    ),
+    "output_format": (
+        "--format",
+        dict(choices=("json-lines", "csv"), help="report format (default json-lines)"),
+    ),
+    "out": ("--out", dict(help="write the report to this path")),
+    "fixture": (
+        "--fixture",
+        dict(choices=("golden",), help="replace random draws with the scalar golden-ratio pair"),
+    ),
+    "power_max": ("--power-max", dict(type=int)),
+    "poly_degree": ("--poly-degree", dict(type=int)),
+    "neumann_order": ("--neumann-order", dict(type=int)),
+    "shift_dims": (
+        "--shift-dims",
+        dict(help="comma-separated truncation dimensions, e.g. 16,64,256"),
+    ),
 }
 
+_OWNED = {field for spec in EXPERIMENTS.values() for field in spec.flags}
 
-def _parse_shift_dims(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(d) for d in text)
+
+def _fields(spec) -> list:
+    """Config fields ``spec``'s subcommand accepts, in option order."""
+    return [f for f in _FLAGS if f not in _OWNED or f in spec.flags]
+
+
+def _file_value(key: str, value):
+    """A config-file value, rejected unless its JSON type matches its flag.
+
+    ``type(...) is`` keeps booleans out of integer fields.  A JSON integer
+    is accepted for a float flag and converted, as the flag would be;
+    ``shift_dims`` takes the CLI's comma-separated string or a list of
+    integers.
+    """
+    option, kwargs = _FLAGS[key]
+    kind = kwargs.get("type", str)
+    if key == "shift_dims" and type(value) is list:
+        ok = all(type(d) is int for d in value)
+    else:
+        ok = type(value) is kind or (kind is float and type(value) is int)
+    if not ok:
+        raise ValidationError(
+            f"config key {key!r} has the wrong JSON type for {option}: {json.dumps(value)}"
+        )
+    return float(value) if kind is float else value
+
+
+def _parse_shift_dims(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ValidationError(f"bad --shift-dims value {text!r}: {exc}") from exc
 
@@ -52,45 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
     for name, spec in EXPERIMENTS.items():
         p = sub.add_parser(name, help=spec.description)
-        p.add_argument("--dim", type=int, default=None, help="operator dimension n")
-        p.add_argument("--trials", type=int, default=None, help="number of seeded trials")
-        p.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help=f"base tolerance (default {spec.base_tol:g}); "
-            "secondary thresholds scale proportionally",
-        )
-        p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=("json-lines", "csv"),
-            default=None,
-            help="report format (default json-lines)",
-        )
-        p.add_argument("--out", default=None, help="write the report to this path")
+        for field in _fields(spec):
+            option, kwargs = _FLAGS[field]
+            if "help" in kwargs:
+                kwargs = dict(kwargs, help=kwargs["help"].format(base_tol=spec.base_tol))
+            p.add_argument(option, dest=field, default=None, **kwargs)
         p.add_argument("--config", default=None, help="JSON file mirroring these flags")
-        if name == "verify-norm":
-            p.add_argument(
-                "--fixture",
-                choices=("golden",),
-                default=None,
-                help="replace random draws with the scalar golden-ratio pair",
-            )
-        if name == "verify-power":
-            p.add_argument("--power-max", dest="power_max", type=int, default=None)
-        if name == "verify-polynomial":
-            p.add_argument("--poly-degree", dest="poly_degree", type=int, default=None)
-        if name == "verify-schur":
-            p.add_argument("--neumann-order", dest="neumann_order", type=int, default=None)
-        if name == "shift-convergence":
-            p.add_argument(
-                "--shift-dims",
-                dest="shift_dims",
-                default=None,
-                help="comma-separated truncation dimensions, e.g. 16,64,256",
-            )
     return parser
 
 
@@ -109,40 +128,22 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> tuple[ExperimentConfig, str | None]:
+    """Explicit flags beat the config file, which beats ``ExperimentConfig``'s defaults."""
     experiment = args.experiment
+    fields = _fields(EXPERIMENTS[experiment])
     file_values = _load_config_file(args.config) if args.config else {}
-    allowed = set(_COMMON_FLAGS) | set(_EXTRA_FLAGS.get(experiment, ()))
-    unknown = set(file_values) - allowed - {"experiment"}
+    file_values.pop("experiment", None)
+    unknown = set(file_values) - set(fields)
     if unknown:
         raise ValidationError(
             f"config file sets fields not accepted by {experiment}: {sorted(unknown)}"
         )
-
-    def pick(key, default=None):
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            return cli_value
-        if key in file_values and file_values[key] is not None:
-            return file_values[key]
-        return default
-
-    kwargs = {"experiment": experiment}
-    for key, default in (
-        ("dim", 8),
-        ("trials", 10),
-        ("seed", 0),
-        ("tol", None),
-        ("output_format", "json-lines"),
-    ):
-        value = pick(key, default)
-        if value is not None or key == "tol":
-            kwargs[key] = value
-    for key in _EXTRA_FLAGS.get(experiment, ()):
-        value = pick(key)
-        if value is not None:
-            kwargs[key] = _parse_shift_dims(value) if key == "shift_dims" else value
-    out = pick("out")
-    return ExperimentConfig(**kwargs), out
+    values = {k: _file_value(k, v) for k, v in file_values.items() if v is not None}
+    values.update((k, getattr(args, k)) for k in fields if getattr(args, k) is not None)
+    out = values.pop("out", None)
+    if isinstance(values.get("shift_dims"), str):
+        values["shift_dims"] = _parse_shift_dims(values["shift_dims"])
+    return ExperimentConfig(experiment=experiment, **values), out
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolationError, InternalConsistencyError, ValidationError
-from .linalg import adjoint, as_matrix, operator_norm, require_square
+from .linalg import adjoint, as_matrix, block2, operator_norm, require_pair, require_square
 from .models import FoguelOperator, build_foguel
 from .spectral import foguel_norm_closed
 
@@ -105,18 +105,8 @@ def _require_contraction(a: np.ndarray, tol: float = CONTRACTION_TOL) -> float:
 
 def generalized_foguel(a, t) -> np.ndarray:
     """Assemble the block operator ``[[A*, T], [0, A]]`` (no isometry demanded)."""
-    a = require_square(a, "A")
-    t = require_square(t, "T")
-    if a.shape != t.shape:
-        raise ValidationError(
-            f"A and T must have matching shapes, got {a.shape} and {t.shape}"
-        )
-    n = a.shape[0]
-    r = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    r[:n, :n] = adjoint(a)
-    r[:n, n:] = t
-    r[n:, n:] = a
-    return r
+    a, t = require_pair(a, t, ("A", "T"))
+    return block2(adjoint(a), t, None, a)
 
 
 def halmos_dilation(a) -> np.ndarray:
@@ -137,13 +127,12 @@ def halmos_dilation(a) -> np.ndarray:
     g = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     defect_left = (u * g) @ adjoint(u)  # (I - A A*)^{1/2}
     defect_right = (adjoint(vh) * g) @ vh  # (I - A* A)^{1/2}
-    n = a.shape[0]
-    dilation = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    dilation[:n, :n] = a
-    dilation[:n, n:] = (defect_left + adjoint(defect_left)) / 2.0
-    dilation[n:, :n] = (defect_right + adjoint(defect_right)) / 2.0
-    dilation[n:, n:] = -adjoint(a)
-    return dilation
+    return block2(
+        a,
+        (defect_left + adjoint(defect_left)) / 2.0,
+        (defect_right + adjoint(defect_right)) / 2.0,
+        -adjoint(a),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +156,9 @@ class DilationLift:
 
 def lift_foguel(a, t) -> DilationLift:
     """Lift ``[[A*, T], [0, A]]`` to a genuine Foguel operator via dilation."""
-    a = require_square(a, "A")
-    t = require_square(t, "T")
-    if a.shape != t.shape:
-        raise ValidationError(
-            f"A and T must have matching shapes, got {a.shape} and {t.shape}"
-        )
+    a, t = require_pair(a, t, ("A", "T"))
     dilation = halmos_dilation(a)
-    n = a.shape[0]
-    padded = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    padded[:n, n:] = t
+    padded = block2(None, t, None, None)
     operator = build_foguel(dilation, padded, require_isometry=True)
     return DilationLift(
         contraction=a, dilation=dilation, padded_symbol=padded, operator=operator
@@ -215,12 +197,7 @@ def compress_generalized(a, t) -> np.ndarray:
 
 def power_offdiag(a, t, n: int) -> np.ndarray:
     """Off-diagonal block ``sum_{j=0}^{n-1} (A*)^j T A^{n-1-j}`` of the n-th power."""
-    a = require_square(a, "A")
-    t = require_square(t, "T")
-    if a.shape != t.shape:
-        raise ValidationError(
-            f"A and T must have matching shapes, got {a.shape} and {t.shape}"
-        )
+    a, t = require_pair(a, t, ("A", "T"))
     n = int(n)
     if n < 1:
         raise ValidationError(f"power index must be >= 1, got {n}")
@@ -246,11 +223,12 @@ def foguel_power(a, t, n: int) -> np.ndarray:
         raise ValidationError(f"power index must be >= 1, got {n}")
     r = generalized_foguel(a, t)
     a = as_matrix(a)
-    dim = a.shape[0]
-    block = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    block[:dim, :dim] = np.linalg.matrix_power(adjoint(a), n)
-    block[:dim, dim:] = power_offdiag(a, t, n)
-    block[dim:, dim:] = np.linalg.matrix_power(a, n)
+    block = block2(
+        np.linalg.matrix_power(adjoint(a), n),
+        power_offdiag(a, t, n),
+        None,
+        np.linalg.matrix_power(a, n),
+    )
 
     direct = np.linalg.matrix_power(r, n)
     allowed = POWER_SELFCHECK_TOL * (1.0 + operator_norm(r)) ** n
@@ -292,10 +270,7 @@ def poly_apply(p: Polynomial, a, t) -> np.ndarray:
         lower_right += coeff * a_pow
         upper_right += coeff * offdiag
 
-    block = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    block[:dim, :dim] = upper_left
-    block[:dim, dim:] = upper_right
-    block[dim:, dim:] = lower_right
+    block = block2(upper_left, upper_right, None, lower_right)
 
     direct = p.at_matrix(r)
     growth = 1.0 + operator_norm(r)

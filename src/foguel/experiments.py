@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -32,20 +32,17 @@ from .linalg import Tolerance, adjoint, operator_norm, solve_inverse
 
 DIM_CEILING = 512
 
-#: Errors that turn into failed trials instead of aborting the experiment.
-_EXPECTED_ERRORS = (
-    ValidationError,
-    SingularMatrixError,
-    NotPositiveSemidefiniteError,
-    BoundViolationError,
-)
-
+#: Errors that turn into failed trials instead of aborting the experiment,
+#: with the reason code each one records.
 _REASON_CODES = {
     ValidationError: "validation-error",
     SingularMatrixError: "singular-matrix",
     NotPositiveSemidefiniteError: "not-psd",
     BoundViolationError: "bound-violation",
+    OverflowError: "overflow",
+    np.linalg.LinAlgError: "linalg-error",
 }
+_EXPECTED_ERRORS = tuple(_REASON_CODES)
 
 
 @dataclass(frozen=True)
@@ -93,27 +90,18 @@ class ExperimentConfig:
             )
         if self.fixture is not None and self.fixture != "golden":
             raise ValidationError(f"unknown fixture {self.fixture!r}; only 'golden' exists")
-        if self.fixture is not None and self.experiment != "verify-norm":
-            raise ValidationError("--fixture is only meaningful for verify-norm")
+        if self.fixture is not None and "fixture" not in EXPERIMENTS[self.experiment].flags:
+            raise ValidationError(f"--fixture is not accepted by {self.experiment}")
         return replace(self, shift_dims=dims, seed=int(self.seed))
 
     def base_tolerance(self) -> float:
         return self.tol if self.tol is not None else EXPERIMENTS[self.experiment].base_tol
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "dim": self.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol": self.base_tolerance(),
-            "format": self.output_format,
-            "power_max": self.power_max,
-            "poly_degree": self.poly_degree,
-            "neumann_order": self.neumann_order,
-            "shift_dims": list(self.shift_dims),
-            "fixture": self.fixture,
-        }
+        """Every field in declaration order, with the resolved tolerance."""
+        fields = asdict(self)
+        fields.update(tol=self.base_tolerance(), shift_dims=list(self.shift_dims))
+        return {"format" if k == "output_format" else k: v for k, v in fields.items()}
 
 
 @dataclass(frozen=True)
@@ -164,10 +152,6 @@ def _outcome(checks: _Checks, base: float, slack: float | None = None):
     return deviation, float(slack), deviation <= base
 
 
-def _draw_symbol(dim: int, gen: models.SeededGenerator) -> np.ndarray:
-    return models.ginibre(dim, gen)
-
-
 # --- individual experiments -------------------------------------------------
 
 
@@ -177,7 +161,7 @@ def _run_verify_norm(cfg: ExperimentConfig, gen, base: float, scale: float):
         t = np.eye(1, dtype=np.complex128)
     else:
         v = models.haar_unitary(cfg.dim, gen)
-        t = _draw_symbol(cfg.dim, gen)
+        t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     t_norm = operator_norm(t)
     dev = abs(operator_norm(op.matrix) - spectral.foguel_norm_closed(t_norm))
@@ -188,7 +172,7 @@ def _run_verify_norm(cfg: ExperimentConfig, gen, base: float, scale: float):
 
 def _run_verify_spectrum(cfg: ExperimentConfig, gen, base: float, scale: float):
     v = models.haar_unitary(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     t_norm = operator_norm(t)
     report = spectral.verify_spectral_mapping(
@@ -217,7 +201,7 @@ def _sample_gap_mu(symbol_eigs: np.ndarray, gen, max_draws: int = 1000) -> float
 
 def _run_verify_resolvent(cfg: ExperimentConfig, gen, base: float, scale: float):
     v = models.haar_unitary(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     symbol_eigs = np.linalg.eigvalsh(t @ adjoint(t))
     mu = _sample_gap_mu(np.clip(symbol_eigs, 0.0, None), gen)
@@ -235,7 +219,7 @@ def _run_verify_resolvent(cfg: ExperimentConfig, gen, base: float, scale: float)
 
 def _run_verify_inverses(cfg: ExperimentConfig, gen, base: float, scale: float):
     v = models.haar_unitary(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     n2 = 2 * cfg.dim
     eye = np.eye(n2)
@@ -259,7 +243,7 @@ def _run_verify_inverses(cfg: ExperimentConfig, gen, base: float, scale: float):
 
 def _run_verify_dilation(cfg: ExperimentConfig, gen, base: float, scale: float):
     a = models.random_contraction(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     lift = dil.lift_foguel(a, t)
     n2 = lift.dilation.shape[0]
     unitarity = operator_norm(adjoint(lift.dilation) @ lift.dilation - np.eye(n2))
@@ -278,7 +262,7 @@ def _run_verify_dilation(cfg: ExperimentConfig, gen, base: float, scale: float):
 
 def _run_verify_power(cfg: ExperimentConfig, gen, base: float, scale: float):
     v = models.haar_unitary(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     r = dil.generalized_foguel(v, t)
     t_norm = operator_norm(t)
     r_norm = operator_norm(r)
@@ -316,7 +300,7 @@ def _random_unit_polynomial(degree: int, gen) -> dil.Polynomial:
 
 def _run_verify_polynomial(cfg: ExperimentConfig, gen, base: float, scale: float):
     a = models.random_contraction(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     p = _random_unit_polynomial(cfg.poly_degree, gen)
     r = dil.generalized_foguel(a, t)
     r_norm = operator_norm(r)
@@ -335,7 +319,7 @@ def _run_verify_polynomial(cfg: ExperimentConfig, gen, base: float, scale: float
 
 def _run_verify_schur(cfg: ExperimentConfig, gen, base: float, scale: float):
     v = models.haar_unitary(cfg.dim, gen)
-    t = _draw_symbol(cfg.dim, gen)
+    t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     t_norm = operator_norm(t)
     closed = spectral.foguel_norm_closed(t_norm)
@@ -418,14 +402,25 @@ def _run_shift_convergence(cfg: ExperimentConfig, gen, base: float, scale: float
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One subcommand: its runner, base tolerance, help line and own flags.
+
+    ``flags`` names the :class:`ExperimentConfig` fields the runner reads
+    beyond the ones every experiment takes; the CLI and the config-file
+    check accept exactly those for this experiment.
+    """
+
     runner: object
     base_tol: float
     description: str
+    flags: tuple = ()
 
 
 EXPERIMENTS = {
     "verify-norm": ExperimentSpec(
-        _run_verify_norm, 1e-8, "operator norm equals the closed-form Foguel norm"
+        _run_verify_norm,
+        1e-8,
+        "operator norm equals the closed-form Foguel norm",
+        ("fixture",),
     ),
     "verify-spectrum": ExperimentSpec(
         _run_verify_spectrum, 1e-8, "Gram spectrum matches the predicted multiset"
@@ -440,16 +435,28 @@ EXPERIMENTS = {
         _run_verify_dilation, 1e-9, "unitary dilation and the compression norm bound"
     ),
     "verify-power": ExperimentSpec(
-        _run_verify_power, 1e-9, "block power formula and the power norm estimate"
+        _run_verify_power,
+        1e-9,
+        "block power formula and the power norm estimate",
+        ("power_max",),
     ),
     "verify-polynomial": ExperimentSpec(
-        _run_verify_polynomial, 1e-8, "polynomial calculus and its norm bound"
+        _run_verify_polynomial,
+        1e-8,
+        "polynomial calculus and its norm bound",
+        ("poly_degree",),
     ),
     "verify-schur": ExperimentSpec(
-        _run_verify_schur, 1e-6, "Schur reduction, Neumann series and norm bisection"
+        _run_verify_schur,
+        1e-6,
+        "Schur reduction, Neumann series and norm bisection",
+        ("neumann_order",),
     ),
     "shift-convergence": ExperimentSpec(
-        _run_shift_convergence, 1e-12, "truncated-shift norms grow monotonically to the bound"
+        _run_shift_convergence,
+        1e-12,
+        "truncated-shift norms grow monotonically to the bound",
+        ("shift_dims",),
     ),
 }
 
@@ -465,27 +472,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     records = []
     for trial in range(config.trials):
         gen = models.SeededGenerator(config.seed, trial)
+        reason = ""
         try:
             deviation, slack, passed = spec.runner(config, gen, base, scale)
-            record = TrialRecord(
-                experiment=config.experiment,
-                seed=config.seed,
-                trial=trial,
-                deviation=deviation,
-                slack=slack,
-                passed=passed,
-            )
         except _EXPECTED_ERRORS as exc:
-            record = TrialRecord(
-                experiment=config.experiment,
-                seed=config.seed,
-                trial=trial,
-                deviation=None,
-                slack=None,
-                passed=False,
-                reason=_REASON_CODES.get(type(exc), "numeric-error"),
-            )
-        records.append(record)
+            deviation, slack, passed = None, None, False
+            reason = _REASON_CODES.get(type(exc), "numeric-error")
+        records.append(
+            TrialRecord(config.experiment, config.seed, trial, deviation, slack, passed, reason)
+        )
 
     deviations = [r.deviation for r in records if r.deviation is not None]
     slacks = [r.slack for r in records if r.slack is not None]
@@ -559,21 +554,8 @@ def emit_report(report: ExperimentReport, output_format: str | None = None) -> b
             return str(value)
 
         rows = ["experiment,seed,trial,deviation,slack,pass,reason"]
-        for r in report.records:
-            rows.append(
-                ",".join(
-                    cell(v)
-                    for v in (
-                        r.experiment,
-                        r.seed,
-                        r.trial,
-                        r.deviation,
-                        r.slack,
-                        r.passed,
-                        r.reason,
-                    )
-                )
-            )
+        for r in report.records:  # TrialRecord's fields are in header order
+            rows.append(",".join(cell(v) for v in astuple(r)))
         return ("\n".join(rows) + "\n").encode("utf-8")
     raise ValidationError(f"unknown output format {fmt!r}")
 

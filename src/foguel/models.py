@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .linalg import adjoint, as_matrix, operator_norm, require_square
+from .linalg import adjoint, as_matrix, block2, operator_norm, require_pair
 
 #: Isometry defect accepted by strict-mode construction.
 ISOMETRY_TOL = 1e-10
@@ -124,12 +124,7 @@ class FoguelOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        n = self.dim
-        r = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        r[:n, :n] = adjoint(self.v)
-        r[:n, n:] = self.t
-        r[n:, n:] = self.v
-        return r
+        return block2(adjoint(self.v), self.t, None, self.v)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -139,12 +134,7 @@ class FoguelOperator:
         top_left = vs @ v + t @ ts  # equals I + T T* when V is an isometry
         top_right = t @ vs
         bottom_right = v @ vs
-        n = self.dim
-        g = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        g[:n, :n] = top_left
-        g[:n, n:] = top_right
-        g[n:, :n] = adjoint(top_right)
-        g[n:, n:] = bottom_right
+        g = block2(top_left, top_right, adjoint(top_right), bottom_right)
         g = (g + adjoint(g)) / 2.0
 
         direct = self.matrix @ adjoint(self.matrix)
@@ -165,12 +155,7 @@ def build_foguel(v, t, require_isometry: bool = True) -> FoguelOperator:
     not exceed ``1e-10``; pass ``False`` for contraction-slot experiments
     such as the truncated shift, where the defect is part of the story.
     """
-    v = require_square(v, "V")
-    t = require_square(t, "T")
-    if v.shape != t.shape:
-        raise ValidationError(
-            f"V and T must have matching shapes, got {v.shape} and {t.shape}"
-        )
+    v, t = require_pair(v, t, ("V", "T"))
     defect = operator_norm(adjoint(v) @ v - np.eye(v.shape[0]))
     if require_isometry and defect > ISOMETRY_TOL:
         raise ValidationError(

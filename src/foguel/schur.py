@@ -21,6 +21,7 @@ from .linalg import (
     hermitian_eigvals,
     operator_norm,
     require_hermitian,
+    require_pair,
     require_square,
     solve_inverse,
 )
@@ -139,12 +140,7 @@ def neumann_eval(v, t, level: float, order: int) -> np.ndarray:
     ``(level^2 - 1)^{-1} T T*`` and the truncation error decays
     geometrically with ratio ``level^{-2}``.
     """
-    v = require_square(v, "V")
-    t = require_square(t, "T")
-    if v.shape != t.shape:
-        raise ValidationError(
-            f"V and T must have matching shapes, got {v.shape} and {t.shape}"
-        )
+    v, t = require_pair(v, t, ("V", "T"))
     level = float(level)
     if level <= 1.0:
         raise ValidationError(

@@ -19,6 +19,7 @@ from .errors import InternalConsistencyError, SingularMatrixError, ValidationErr
 from .linalg import (
     Tolerance,
     adjoint,
+    block2,
     hermitian_eigvals,
     multiset_match,
     operator_norm,
@@ -147,13 +148,7 @@ class ResolventBlocks:
 
     @cached_property
     def solution(self) -> np.ndarray:
-        n = self.a.shape[0]
-        s = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        s[:n, :n] = self.a
-        s[:n, n:] = self.x
-        s[n:, :n] = adjoint(self.x)
-        s[n:, n:] = self.b
-        return s
+        return block2(self.a, self.x, adjoint(self.x), self.b)
 
 
 def resolvent_blocks(
@@ -213,12 +208,7 @@ def foguel_inverse(op: FoguelOperator) -> np.ndarray:
     """
     _require_unitary_slot(op, "Foguel inverse")
     v, t = op.v, op.t
-    n = op.dim
-    m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    m[:n, :n] = v
-    m[:n, n:] = -(v @ t @ adjoint(v))
-    m[n:, n:] = adjoint(v)
-    return m
+    return block2(v, -(v @ t @ adjoint(v)), None, adjoint(v))
 
 
 def foguel_gram_inverse(op: FoguelOperator) -> np.ndarray:
@@ -244,9 +234,4 @@ def gram_minus_identity_inverse(op: FoguelOperator, *, rcond_floor: float = 1e-1
             rcond=exc.rcond,
         ) from exc
     x = adjoint(t_inv) @ adjoint(op.v)
-    n = op.dim
-    w = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    w[:n, n:] = x
-    w[n:, :n] = adjoint(x)
-    w[n:, n:] = -np.eye(n)
-    return w
+    return block2(None, x, adjoint(x), -np.eye(op.dim))

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from foguel import (
+    EXPERIMENTS,
     ExperimentConfig,
+    SingularMatrixError,
     ValidationError,
     emit_report,
     run_experiment,
@@ -231,6 +234,68 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "jitter" in err
 
 
+@pytest.mark.parametrize(
+    "experiment, config, key",
+    [
+        ("verify-norm", {"dim": "8"}, "dim"),
+        ("verify-norm", {"seed": 1.7}, "seed"),
+        ("verify-norm", {"trials": True}, "trials"),
+        ("verify-norm", {"tol": "1e-8"}, "tol"),
+        ("shift-convergence", {"shift_dims": [8, "16"]}, "shift_dims"),
+    ],
+    ids=["dim-string", "seed-float", "trials-bool", "tol-string", "shift-dims-mixed-list"],
+)
+def test_cli_config_values_need_the_flag_json_type(tmp_path, capsys, experiment, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    # --trials on the command line wins over the file, yet a mistyped file value is refused
+    code, out, err = run_cli([experiment, "--trials", "1", "--config", str(path)], capsys)
+    assert code == 2
+    assert "usage error" in err and repr(key) in err
+
+
+#: A value for every per-experiment field: (CLI text, config-file JSON value).
+FLAG_VALUES = {
+    "fixture": ("golden", "golden"),
+    "power_max": ("3", 3),
+    "poly_degree": ("3", 3),
+    "neumann_order": ("5", 5),
+    "shift_dims": ("8,16", [8, 16]),
+}
+
+
+def test_flag_values_cover_the_registry():
+    assert set(FLAG_VALUES) == {f for spec in EXPERIMENTS.values() for f in spec.flags}
+
+
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
+def test_registry_flags_work_as_options_and_config_keys(tmp_path, capsys, experiment):
+    base = [experiment, "--dim", "2", "--trials", "1", "--seed", "4"]
+    path = tmp_path / "config.json"
+    for field in EXPERIMENTS[experiment].flags:
+        text, value = FLAG_VALUES[field]
+        code, from_flag, _ = run_cli(base + ["--" + field.replace("_", "-"), text], capsys)
+        assert code == 0
+        path.write_text(json.dumps({field: value}))
+        code, from_file, _ = run_cli(base + ["--config", str(path)], capsys)
+        assert code == 0
+        assert from_file == from_flag
+        echoed = json.loads(from_file.strip().split("\n")[-1])["config"][field]
+        assert echoed == value
+
+
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
+def test_config_rejects_keys_owned_by_other_experiments(tmp_path, capsys, experiment):
+    path = tmp_path / "config.json"
+    for field, (_, value) in FLAG_VALUES.items():
+        if field in EXPERIMENTS[experiment].flags:
+            continue
+        path.write_text(json.dumps({field: value}))
+        code, out, err = run_cli([experiment, "--trials", "1", "--config", str(path)], capsys)
+        assert code == 2
+        assert field in err
+
+
 def test_cli_shift_dims_flag(capsys):
     code, out, _ = run_cli(
         ["shift-convergence", "--trials", "1", "--shift-dims", "8,16"], capsys
@@ -240,24 +305,32 @@ def test_cli_shift_dims_flag(capsys):
     assert aggregate["config"]["shift_dims"] == [8, 16]
 
 
-def test_expected_numeric_error_becomes_failed_trial(monkeypatch):
+@pytest.mark.parametrize(
+    "error, reason",
+    [
+        (SingularMatrixError("synthetic singular draw", rcond=0.0), "singular-matrix"),
+        (OverflowError(34, "Numerical result out of range"), "overflow"),
+        (np.linalg.LinAlgError("SVD did not converge"), "linalg-error"),
+    ],
+    ids=["singular-matrix", "overflow", "linalg-error"],
+)
+def test_expected_numeric_error_becomes_failed_trial(monkeypatch, error, reason):
     import dataclasses
 
-    from foguel.errors import SingularMatrixError
     from foguel.experiments import EXPERIMENTS
 
     def explode(cfg, gen, base, scale):
-        raise SingularMatrixError("synthetic singular draw", rcond=0.0)
+        raise error
 
     spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=explode)
     monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)
     report = run_experiment(small_config("verify-norm", trials=2))
     assert not report.passed
-    assert all(r.reason == "singular-matrix" for r in report.records)
+    assert all(r.reason == reason for r in report.records)
     assert all(r.deviation is None for r in report.records)
     # the report still serializes (nulls in json, empty cells in csv)
     assert b'"deviation": null' in emit_report(report)
-    assert b"verify-norm,11,0,,,false,singular-matrix" in emit_report(report, "csv")
+    assert f"verify-norm,11,0,,,false,{reason}".encode() in emit_report(report, "csv")
 
 
 def test_internal_consistency_error_exits_three(monkeypatch, capsys):

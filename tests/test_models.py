@@ -8,10 +8,14 @@ from foguel import (
     ValidationError,
     build_foguel,
     embed_corner,
+    generalized_foguel,
     ginibre,
     gram,
     haar_unitary,
+    lift_foguel,
+    neumann_eval,
     operator_norm,
+    power_offdiag,
     random_contraction,
     truncated_shift,
 )
@@ -97,6 +101,22 @@ def test_build_foguel_rejects_shift_in_strict_mode():
 def test_build_foguel_rejects_shape_mismatch():
     with pytest.raises(ValidationError, match="matching"):
         build_foguel(np.eye(2), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "pair_function",
+    [
+        generalized_foguel,
+        lift_foguel,
+        lambda a, t: power_offdiag(a, t, 2),
+        lambda v, t: neumann_eval(v, t, 2.0, 3),
+    ],
+    ids=["generalized_foguel", "lift_foguel", "power_offdiag", "neumann_eval"],
+)
+def test_pair_functions_reject_shape_mismatch(pair_function):
+    # build_foguel's own case is test_build_foguel_rejects_shape_mismatch
+    with pytest.raises(ValidationError, match="matching"):
+        pair_function(np.eye(2), np.zeros((3, 3)))
 
 
 def test_zero_symbol_norm_is_one():
