@@ -18,12 +18,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolationError, InternalConsistencyError, ValidationError
-from .linalg import adjoint, as_matrix, block2, operator_norm, require_pair, require_square
+from .linalg import (
+    CONTRACTION_TOL,
+    adjoint,
+    as_matrix,
+    block2,
+    operator_norm,
+    require_contraction,
+    require_pair,
+    require_square,
+)
 from .models import FoguelOperator, build_foguel
 from .spectral import foguel_norm_closed
-
-#: Operator norm excess tolerated when validating a contraction.
-CONTRACTION_TOL = 1e-10
 
 #: Boundary samples used to estimate sup norms over the unit disk; by the
 #: maximum-modulus principle boundary sampling suffices, and 4096 points keep
@@ -94,15 +100,6 @@ def tilde_deriv_bound(p: Polynomial) -> float:
     return float(sum(j * abs(c) for j, c in enumerate(p.coeffs)))
 
 
-def _require_contraction(a: np.ndarray, tol: float = CONTRACTION_TOL) -> float:
-    norm = operator_norm(a)
-    if norm > 1.0 + tol:
-        raise ValidationError(
-            f"expected a contraction, got operator norm {norm:.12g} > 1 + {tol:.1e}"
-        )
-    return norm
-
-
 def generalized_foguel(a, t) -> np.ndarray:
     """Assemble the block operator ``[[A*, T], [0, A]]`` (no isometry demanded)."""
     a, t = require_pair(a, t, ("A", "T"))
@@ -122,7 +119,7 @@ def halmos_dilation(a) -> np.ndarray:
     when singular values sit exactly at 1.
     """
     a = require_square(a, "A")
-    _require_contraction(a)
+    require_contraction(a, "A")
     u, s, vh = np.linalg.svd(a)
     g = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     defect_left = (u * g) @ adjoint(u)  # (I - A A*)^{1/2}
@@ -304,7 +301,7 @@ def verify_poly_bound(p: Polynomial, a, t) -> PolyBoundReport:
     Negative slack beyond ``1e-8`` raises :class:`BoundViolationError`.
     """
     a = require_square(a, "A")
-    _require_contraction(a)
+    require_contraction(a, "A")
     sup = p.boundary_sup()
     if sup > 1.0 + CONTRACTION_TOL:
         raise ValidationError(

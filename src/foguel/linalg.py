@@ -29,6 +29,9 @@ PSD_FLOOR = -1e-10
 #: Reciprocal condition estimate below which a solve is refused.
 RCOND_FLOOR = 1e-12
 
+#: Operator norm excess tolerated when validating a contraction.
+CONTRACTION_TOL = 1e-10
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a 2-D complex128 array and validate its shape."""
@@ -143,6 +146,16 @@ def operator_norm(m) -> float:
     g = adjoint(m) @ m
     w = np.linalg.eigvalsh((g + adjoint(g)) / 2.0)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
+
+
+def require_contraction(m, name: str = "matrix", tol: float = CONTRACTION_TOL) -> float:
+    """Return ``||m||``, raising :class:`ValidationError` when it exceeds ``1 + tol``."""
+    norm = operator_norm(m)
+    if norm > 1.0 + tol:
+        raise ValidationError(
+            f"{name} must be a contraction, got operator norm {norm:.12g} > 1 + {tol:.1e}"
+        )
+    return norm
 
 
 def psd_sqrt(p, *, floor: float = PSD_FLOOR) -> np.ndarray:

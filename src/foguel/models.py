@@ -19,7 +19,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .linalg import adjoint, as_matrix, block2, operator_norm, require_pair
+from .linalg import (
+    adjoint,
+    as_matrix,
+    block2,
+    hermitian_eigs,
+    hermitian_eigvals,
+    operator_norm,
+    require_contraction,
+    require_pair,
+)
 
 #: Isometry defect accepted by strict-mode construction.
 ISOMETRY_TOL = 1e-10
@@ -107,11 +116,18 @@ def random_contraction(n: int, gen: SeededGenerator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FoguelOperator:
-    """Validated pair ``(V, T)`` with cached block assembly.
+    """Validated pair ``(V, T)`` with cached block assembly and spectral data.
 
     ``matrix`` is the 2n x 2n block operator ``[[V*, T], [0, V]]`` and
     ``gram`` its Gram operator ``matrix @ matrix*``, assembled from the
     explicit block formula and self-checked against the direct product.
+
+    The remaining cached properties do not depend on a positivity level, so
+    a norm bisection computes each once per operator: ``gram_eigvals`` (the
+    only 2n x 2n eigensolve), ``v_contraction_norm``, the eigenpairs
+    ``vv_eigs`` of ``V V*``, ``gram_corner`` and ``coupling``.  Every
+    property is computed on first access from ``v`` and ``t``, which must
+    not be mutated afterwards; the cached arrays are read-only.
     """
 
     v: np.ndarray
@@ -127,14 +143,17 @@ class FoguelOperator:
         return block2(adjoint(self.v), self.t, None, self.v)
 
     @cached_property
+    def gram_corner(self) -> np.ndarray:
+        """``V* V + T T*``, the upper-left block of ``gram`` (``I + T T*`` for an isometry)."""
+        return _read_only(adjoint(self.v) @ self.v + self.t @ adjoint(self.t))
+
+    @cached_property
     def gram(self) -> np.ndarray:
         v, t = self.v, self.t
         vs = adjoint(v)
-        ts = adjoint(t)
-        top_left = vs @ v + t @ ts  # equals I + T T* when V is an isometry
         top_right = t @ vs
         bottom_right = v @ vs
-        g = block2(top_left, top_right, adjoint(top_right), bottom_right)
+        g = block2(self.gram_corner, top_right, adjoint(top_right), bottom_right)
         g = (g + adjoint(g)) / 2.0
 
         direct = self.matrix @ adjoint(self.matrix)
@@ -146,6 +165,31 @@ class FoguelOperator:
                 f"(allowed {GRAM_SELFCHECK_TOL * scale:.3e}); block algebra bug"
             )
         return g
+
+    @cached_property
+    def gram_eigvals(self) -> np.ndarray:
+        """Ascending spectrum of ``gram``, from a 2n x 2n eigensolve of ``gram`` itself."""
+        return _read_only(hermitian_eigvals(self.gram))
+
+    @cached_property
+    def v_contraction_norm(self) -> float:
+        """``||V||``; raises :class:`ValidationError` unless ``V`` is a contraction."""
+        return require_contraction(self.v, "V")
+
+    @cached_property
+    def vv_eigs(self) -> tuple:
+        """Eigenpairs ``(w, U)`` of ``V V* = U diag(w) U*``, ``w`` ascending."""
+        return tuple(_read_only(a) for a in hermitian_eigs(self.v @ adjoint(self.v)))
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """``T V* U``: the Schur coupling ``T V*`` in the eigenbasis ``U`` of ``V V*``."""
+        return _read_only(self.t @ adjoint(self.v) @ self.vv_eigs[1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_foguel(v, t, require_isometry: bool = True) -> FoguelOperator:

@@ -14,16 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NotPositiveSemidefiniteError, ValidationError
+from .errors import (
+    InternalConsistencyError,
+    NotPositiveSemidefiniteError,
+    SingularMatrixError,
+    ValidationError,
+)
 from .linalg import (
+    RCOND_FLOOR,
     Tolerance,
     adjoint,
+    hermitian_eigs,
     hermitian_eigvals,
     operator_norm,
+    require_contraction,
     require_hermitian,
     require_pair,
     require_square,
-    solve_inverse,
 )
 from .models import FoguelOperator
 from .spectral import foguel_norm_closed
@@ -37,24 +44,44 @@ LEVEL_MARGIN = 1e-12
 MAX_BISECTION_ITERATIONS = 60
 
 
-def schur_complement(p, x, q, *, floor: float = POSITIVE_DEFINITE_FLOOR) -> np.ndarray:
-    """Schur complement ``P - X Q^{-1} X*`` of ``[[P, X], [X*, Q]]``.
+def _complement(p, y, d, floor: float) -> np.ndarray:
+    """Schur complement ``P - X Q^{-1} X*`` from the eigenpairs ``Q = U diag(d) U*``.
 
-    ``Q`` must be Hermitian positive definite (min eigenvalue >= ``floor``);
-    then the block matrix is PSD if and only if the complement is.
+    Takes ``y = X U``, so the complement is ``P - Y diag(1/d) Y*``.  ``Q``
+    is refused as :func:`solve_inverse` would refuse it: its minimum
+    eigenvalue must reach ``floor`` and its reciprocal condition number
+    ``min|d| / max|d|`` must reach ``RCOND_FLOOR``.
     """
-    p = require_hermitian(p)
-    q = require_hermitian(q)
-    x = require_square(x, "X")
-    q_min = float(hermitian_eigvals(q)[0])
+    q_min = float(np.min(d))
     if q_min < floor:
         raise NotPositiveSemidefiniteError(
             f"lower-right block is not positive definite: min eigenvalue "
             f"{q_min:.3e} below {floor:.1e}",
             min_eigenvalue=q_min,
         )
-    complement = p - x @ solve_inverse(q) @ adjoint(x)
+    magnitudes = np.abs(d)
+    rcond = float(magnitudes.min() / magnitudes.max()) if magnitudes.max() > 0 else 0.0
+    if rcond < RCOND_FLOOR:
+        raise SingularMatrixError(
+            f"lower-right block is singular to working precision "
+            f"(rcond={rcond:.3e} < {RCOND_FLOOR:.1e})",
+            rcond=rcond,
+        )
+    complement = p - (y / d) @ adjoint(y)
     return (complement + adjoint(complement)) / 2.0
+
+
+def schur_complement(p, x, q, *, floor: float = POSITIVE_DEFINITE_FLOOR) -> np.ndarray:
+    """Schur complement ``P - X Q^{-1} X*`` of ``[[P, X], [X*, Q]]``.
+
+    ``Q`` must be Hermitian positive definite (min eigenvalue >= ``floor``);
+    then the block matrix is PSD if and only if the complement is.  ``Q^{-1}``
+    is applied through the eigendecomposition of ``Q``.
+    """
+    p = require_hermitian(p)
+    x = require_square(x, "X")
+    w, u = hermitian_eigs(q)
+    return _complement(p, x @ u, w, floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +107,8 @@ def foguel_positivity(
     verdict is cross-checked against the direct 2n x 2n eigenvalue test;
     the two may straddle the threshold only inside the singular band, and a
     confident disagreement raises :class:`InternalConsistencyError`.
+    Both routes read level-independent spectra cached on ``op``, so a level
+    costs one n x n product and one n x n eigensolve.
 
     PSD is declared when the minimum eigenvalue is at least ``-tol_abs``
     with default ``1e-10 * (1 + level^2)``; an exact zero crossing at
@@ -90,25 +119,20 @@ def foguel_positivity(
         raise ValidationError(
             f"positivity level must exceed 1 (the norm is never below 1), got {level}"
         )
-    v_norm = operator_norm(op.v)
-    if v_norm > 1.0 + 1e-10:
-        raise ValidationError(
-            f"positivity reduction requires a contraction in the V slot, "
-            f"got norm {v_norm:.12g}"
-        )
+    op.v_contraction_norm  # raises ValidationError unless V is a contraction
     if tol_abs is None:
         tol_abs = 1e-10 * (1.0 + level * level)
 
-    v, t = op.v, op.t
-    n = op.dim
-    eye = np.eye(n, dtype=np.complex128)
-    upper = level**2 * eye - adjoint(v) @ v - t @ adjoint(t)
-    lower = level**2 * eye - v @ adjoint(v)
-    reduced = schur_complement(upper, -(t @ adjoint(v)), lower)
-
+    # level-independent data is cached on op: with V V* = U diag(w) U*, the
+    # lower-right block level^2 I - V V* has eigenpairs (level^2 - w, U)
+    level_sq = level**2
+    w, _ = op.vv_eigs
+    upper = level_sq * np.eye(op.dim, dtype=np.complex128) - op.gram_corner
+    reduced = _complement(upper, op.coupling, level_sq - w, POSITIVE_DEFINITE_FLOOR)
     reduced_min = float(hermitian_eigvals(reduced)[0])
-    direct = level**2 * np.eye(2 * n) - op.gram
-    direct_min = float(hermitian_eigvals(direct)[0])
+    # direct route: eig(level^2 I - G) = level^2 - eig(G), read from an
+    # eigensolve of the 2n x 2n Gram operator, never from the reduced matrix
+    direct_min = level_sq - float(op.gram_eigvals[-1])
 
     verdict_reduced = reduced_min >= -tol_abs
     verdict_direct = direct_min >= -tol_abs
@@ -146,11 +170,7 @@ def neumann_eval(v, t, level: float, order: int) -> np.ndarray:
         raise ValidationError(
             f"Neumann series diverges for level <= 1, got {level}"
         )
-    v_norm = operator_norm(v)
-    if v_norm > 1.0 + 1e-10:
-        raise ValidationError(
-            f"Neumann evaluation requires a contraction, got norm {v_norm:.12g}"
-        )
+    require_contraction(v, "V")
     order = int(order)
     if order < 0:
         raise ValidationError(f"truncation order must be >= 0, got {order}")

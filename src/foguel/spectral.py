@@ -103,7 +103,7 @@ def verify_spectral_mapping(op: FoguelOperator, tol: Tolerance) -> SpectralMapRe
     must reproduce the 2n Gram eigenvalues after sorting.
     """
     _require_unitary_slot(op, "spectral mapping")
-    gram_spectrum = hermitian_eigvals(op.gram)
+    gram_spectrum = op.gram_eigvals
     if float(gram_spectrum[0]) < -1e-10:
         raise ValidationError(
             f"Gram operator has eigenvalue {gram_spectrum[0]:.3e} < 0; "

@@ -347,3 +347,28 @@ def test_internal_consistency_error_exits_three(monkeypatch, capsys):
     code, out, err = run_cli(["verify-norm", "--trials", "1"], capsys)
     assert code == 3
     assert "internal consistency" in err
+
+
+@pytest.mark.parametrize(
+    "cache, mutate",
+    [
+        ("coupling", lambda value: np.zeros_like(value)),
+        ("gram_eigvals", lambda value: value + 1e-3 * (1.0 + value[-1])),
+    ],
+    ids=["zero-coupling", "shifted-gram-spectrum"],
+)
+def test_schur_experiment_catches_a_corrupted_operator_cache(monkeypatch, cache, mutate):
+    # each route of the Schur positivity test reads its own cache; corrupting
+    # either must fail the report or raise (exit 3), never pass silently
+    from foguel.errors import InternalConsistencyError
+    from foguel.models import FoguelOperator
+
+    config = ExperimentConfig("verify-schur", dim=6, trials=3, seed=11)
+    assert run_experiment(config).passed
+    original = FoguelOperator.__dict__[cache].func
+    monkeypatch.setattr(FoguelOperator, cache, property(lambda op: mutate(original(op))))
+    try:
+        report = run_experiment(config)
+    except InternalConsistencyError:
+        return
+    assert not report.passed

@@ -18,10 +18,12 @@ from foguel import (
     neumann_eval,
     norm_by_bisection,
     operator_norm,
+    random_contraction,
     scalar_criterion,
     schur_complement,
     solve_inverse,
     symbol_norm_from_foguel,
+    truncated_shift,
 )
 from foguel.linalg import adjoint
 
@@ -133,6 +135,30 @@ def test_foguel_positivity_verdicts_agree():
         checked += 1
     assert checked > 150
 
+    # non-isometric V slots, against both routes computed afresh
+    checked = 0
+    for trial in range(100):
+        sub = gen.substream(1000 + trial)
+        v = truncated_shift(4) if trial % 2 else random_contraction(4, sub)
+        t = ginibre(4, sub)
+        op = build_foguel(v, t, require_isometry=False)
+        level = sub.uniform(1.05, foguel_norm_closed(operator_norm(t)) + 1.0)
+        cert = foguel_positivity(op, level)
+        eye = np.eye(4)
+        upper = level**2 * eye - adjoint(v) @ v - t @ adjoint(t)
+        lower = level**2 * eye - v @ adjoint(v)
+        reduced_min = np.linalg.eigvalsh(schur_complement(upper, -(t @ adjoint(v)), lower))[0]
+        direct_min = np.linalg.eigvalsh(level**2 * np.eye(8) - op.gram)[0]
+        tol = 1e-10 * (1.0 + level**2)
+        assert abs(cert.min_eigenvalue - reduced_min) <= tol
+        assert abs(cert.direct_min_eigenvalue - direct_min) <= tol
+        band = 1e-9 * (1.0 + level**2)
+        if min(abs(reduced_min), abs(direct_min)) <= band:
+            continue
+        assert cert.positive == (direct_min >= -cert.threshold)
+        checked += 1
+    assert checked > 75
+
 
 # --- Neumann series ----------------------------------------------------------
 
@@ -224,6 +250,31 @@ def test_bisection_random_matches_closed_form():
     # SVD oracle for the same norm
     svd_norm = float(np.linalg.svd(op.matrix, compute_uv=False)[0])
     assert abs(result.value - svd_norm) <= 1e-6
+
+
+def test_bisection_eigensolves_of_order_2n_do_not_scale_with_iterations(monkeypatch):
+    # the direct route's 2n x 2n eigensolve runs once per operator, not per level
+    v, t = _unitary_pair(6, seed=70)
+    order_2n = []
+
+    def counting(solver):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a)[-1] == 12:
+                order_2n.append(solver.__name__)
+            return solver(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    counts, iterations = [], []
+    for atol in (1e-3, 1e-9):
+        order_2n.clear()
+        result = norm_by_bisection(build_foguel(v, t), Tolerance(atol=atol))
+        counts.append(len(order_2n))
+        iterations.append(result.iterations)
+    assert iterations[0] < iterations[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_bisection_zero_symbol_short_circuit():
