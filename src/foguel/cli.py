@@ -8,7 +8,8 @@ Usage::
 Flags may also come from a JSON config file (``--config``); explicit flags
 take precedence over the file, which takes precedence over defaults.  Exit
 status: 0 all trials passed, 1 a property failed, 2 usage error, 3 internal
-consistency error.
+consistency error, 4 crash (any other exception; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .errors import FoguelError, InternalConsistencyError, ValidationError
 from .experiments import (
@@ -172,6 +174,11 @@ def main(argv=None) -> int:
     except FoguelError as exc:
         print(f"foguel: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not share exit 1 with "a property failed"
+        print("foguel: crashed; traceback follows", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     block2,
+    certified_within,
     operator_norm,
     require_contraction,
     require_pair,
@@ -227,14 +228,18 @@ def foguel_power(a, t, n: int) -> np.ndarray:
         np.linalg.matrix_power(a, n),
     )
 
-    direct = np.linalg.matrix_power(r, n)
-    allowed = POWER_SELFCHECK_TOL * (1.0 + operator_norm(r)) ** n
-    dev = operator_norm(block - direct)
-    if dev > allowed:
-        raise InternalConsistencyError(
-            f"power block formula deviates from direct multiplication by "
-            f"{dev:.3e} (allowed {allowed:.3e})"
-        )
+    def allowed(norm):
+        return POWER_SELFCHECK_TOL * (1.0 + norm) ** n
+
+    residual = block - np.linalg.matrix_power(r, n)
+    if not certified_within(residual, r, allowed):
+        bound = allowed(operator_norm(r))
+        dev = operator_norm(residual)
+        if dev > bound:
+            raise InternalConsistencyError(
+                f"power block formula deviates from direct multiplication by "
+                f"{dev:.3e} (allowed {bound:.3e})"
+            )
     return block
 
 
@@ -269,17 +274,19 @@ def poly_apply(p: Polynomial, a, t) -> np.ndarray:
 
     block = block2(upper_left, upper_right, None, lower_right)
 
-    direct = p.at_matrix(r)
-    growth = 1.0 + operator_norm(r)
-    allowed = POLY_SELFCHECK_TOL * sum(
-        abs(c) * growth**j for j, c in enumerate(p.coeffs)
-    )
-    dev = operator_norm(block - direct)
-    if dev > max(allowed, POLY_SELFCHECK_TOL):
-        raise InternalConsistencyError(
-            f"polynomial block formula deviates from direct evaluation by "
-            f"{dev:.3e} (allowed {allowed:.3e})"
-        )
+    def allowed(norm):
+        growth = 1.0 + norm
+        return POLY_SELFCHECK_TOL * sum(abs(c) * growth**j for j, c in enumerate(p.coeffs))
+
+    residual = block - p.at_matrix(r)
+    if not certified_within(residual, r, lambda norm: max(allowed(norm), POLY_SELFCHECK_TOL)):
+        bound = allowed(operator_norm(r))
+        dev = operator_norm(residual)
+        if dev > max(bound, POLY_SELFCHECK_TOL):
+            raise InternalConsistencyError(
+                f"polynomial block formula deviates from direct evaluation by "
+                f"{dev:.3e} (allowed {bound:.3e})"
+            )
     return block
 
 

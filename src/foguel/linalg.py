@@ -9,6 +9,7 @@ safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,31 @@ def operator_norm(m) -> float:
     g = adjoint(m) @ m
     w = np.linalg.eigvalsh((g + adjoint(g)) / 2.0)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
+
+
+def norm_lower_bound(m) -> float:
+    """Largest column 2-norm of ``m``, a lower bound on ``||m||`` as ``||m e_j|| <= ||m||``."""
+    return float(np.max(np.linalg.norm(m, axis=0)))
+
+
+def certified_within(x, m, allowed) -> bool:
+    """True only when ``operator_norm(x) <= allowed(operator_norm(m))`` is certain.
+
+    Decided in O(n^2) without an eigensolve, for a non-decreasing
+    ``allowed``: ``||x||_2 <= ||x||_F <= allowed(norm_lower_bound(m)) / 2``,
+    where the factor 2 absorbs the rounding of both sides.  False decides
+    nothing and the caller runs its exact check.  It is also the answer when
+    ``allowed`` is not finite at ``2 ||m||_F``, an upper bound on ``||m||``
+    with room for rounding, so an allowance that overflows in the exact
+    check still raises its ``OverflowError`` there.
+    """
+    try:
+        ceiling = allowed(2.0 * float(np.linalg.norm(m)))
+    except OverflowError:
+        return False
+    return bool(
+        ceiling < math.inf and np.linalg.norm(x) <= allowed(norm_lower_bound(m)) / 2.0
+    )
 
 
 def require_contraction(m, name: str = "matrix", tol: float = CONTRACTION_TOL) -> float:

@@ -23,6 +23,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     block2,
+    certified_within,
     hermitian_eigs,
     hermitian_eigvals,
     operator_norm,
@@ -156,14 +157,18 @@ class FoguelOperator:
         g = block2(self.gram_corner, top_right, adjoint(top_right), bottom_right)
         g = (g + adjoint(g)) / 2.0
 
-        direct = self.matrix @ adjoint(self.matrix)
-        scale = 1.0 + operator_norm(self.matrix) ** 2
-        dev = operator_norm(g - direct)
-        if dev > GRAM_SELFCHECK_TOL * scale:
-            raise InternalConsistencyError(
-                f"Gram block formula deviates from direct product by {dev:.3e} "
-                f"(allowed {GRAM_SELFCHECK_TOL * scale:.3e}); block algebra bug"
-            )
+        def allowed(norm):
+            return GRAM_SELFCHECK_TOL * (1.0 + norm**2)
+
+        residual = g - self.matrix @ adjoint(self.matrix)
+        if not certified_within(residual, self.matrix, allowed):
+            bound = allowed(operator_norm(self.matrix))
+            dev = operator_norm(residual)
+            if dev > bound:
+                raise InternalConsistencyError(
+                    f"Gram block formula deviates from direct product by {dev:.3e} "
+                    f"(allowed {bound:.3e}); block algebra bug"
+                )
         return g
 
     @cached_property

@@ -23,7 +23,9 @@ from foguel import (
     tilde_deriv_bound,
     verify_poly_bound,
 )
-from foguel.linalg import adjoint
+import foguel.dilation as dil
+from foguel.errors import InternalConsistencyError
+from foguel.linalg import adjoint, norm_lower_bound
 
 
 def svd_norm(m):
@@ -224,6 +226,32 @@ def test_foguel_power_matches_repeated_multiplication():
     assert operator_norm(block - np.linalg.matrix_power(r, 5)) <= 1e-9
 
 
+def test_foguel_power_overflows_exactly_where_the_exact_allowance_does():
+    # at this n the allowance overflows at ||R|| but not at the column-norm
+    # lower bound, so a fast accept would wrongly return instead of raising
+    gen = SeededGenerator(48)
+    v, t = haar_unitary(2, gen), ginibre(2, gen)
+    r = generalized_foguel(v, t)
+    n = int(np.log(np.finfo(float).max) / np.log1p(operator_norm(r))) + 1
+    with pytest.raises(OverflowError):
+        (1.0 + operator_norm(r)) ** n
+    assert np.isfinite((1.0 + norm_lower_bound(r)) ** n)
+    with pytest.raises(OverflowError):
+        foguel_power(v, t, n)
+
+
+def test_power_self_check_catches_a_shifted_offdiagonal_block(monkeypatch):
+    gen = SeededGenerator(49)
+    v, t = haar_unitary(4, gen), ginibre(4, gen)
+    original = dil.power_offdiag
+    monkeypatch.setattr(
+        dil, "power_offdiag", lambda a, t, n: original(a, t, n) + 1e-6 * np.eye(4)
+    )
+    # the residual is [[0, 1e-6 I], [0, 0]]: operator norm 1e-6, Frobenius 2e-6
+    with pytest.raises(InternalConsistencyError, match=r"multiplication by 1\.000e-06 "):
+        foguel_power(v, t, 3)
+
+
 # --- polynomial calculus -----------------------------------------------------
 
 
@@ -248,6 +276,54 @@ def test_poly_apply_affine_linearity():
     r = generalized_foguel(a, t)
     block = poly_apply(Polynomial([1.0, 1.0]), a, t)
     assert operator_norm(block - (np.eye(8) + r)) <= 1e-12
+
+
+def test_poly_self_check_catches_conjugated_upper_left_coefficients(monkeypatch):
+    gen = SeededGenerator(50)
+    a, t = random_contraction(4, gen), ginibre(4, gen)
+    p = Polynomial(gen.complex_gaussian(1, 5)[0])
+    right = p.at_matrix(adjoint(a))
+    wrong = Polynomial(np.conj(p.coeffs)).at_matrix(adjoint(a))
+    original, calls = dil.block2, []
+
+    def mutant(ul, ur, ll, lr):
+        calls.append(ul)
+        if len(calls) == 2:  # the assembly of p(R); the first call builds R
+            ul = wrong
+        return original(ul, ur, ll, lr)
+
+    monkeypatch.setattr(dil, "block2", mutant)
+    with pytest.raises(InternalConsistencyError) as excinfo:
+        poly_apply(p, a, t)
+    # the message carries the exact operator norm of the residual
+    reported = float(str(excinfo.value).split(" by ")[1].split()[0])
+    exact = operator_norm(wrong - right)
+    assert reported == pytest.approx(exact, rel=1e-3)
+    assert np.linalg.norm(wrong - right) > 1.01 * exact
+
+
+def test_block_self_checks_run_no_eigensolve_of_order_2n(monkeypatch):
+    # a passing self-check is certified by the Frobenius bound alone
+    gen = SeededGenerator(51)
+    v, t = haar_unitary(6, gen), ginibre(6, gen)
+    p = Polynomial(gen.complex_gaussian(1, 6)[0])
+    order_2n = []
+
+    def counting(solver):
+        def wrapper(m, *args, **kwargs):
+            if np.shape(m)[-1] == 12:
+                order_2n.append(solver.__name__)
+            return solver(m, *args, **kwargs)
+
+        return wrapper
+
+    op = build_foguel(v, t)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    foguel_power(v, t, 5)
+    poly_apply(p, v, t)
+    op.gram
+    assert order_2n == []
 
 
 def test_tilde_deriv_bound_values():

@@ -349,6 +349,21 @@ def test_internal_consistency_error_exits_three(monkeypatch, capsys):
     assert "internal consistency" in err
 
 
+def test_crash_exits_four_with_a_traceback(monkeypatch, capsys):
+    import dataclasses
+
+    from foguel.experiments import EXPERIMENTS
+
+    def explode(cfg, gen, base, scale):
+        raise TypeError("synthetic crash")
+
+    spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=explode)
+    monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)
+    code, out, err = run_cli(["verify-norm", "--trials", "1"], capsys)
+    assert code == 4
+    assert "Traceback" in err and "TypeError: synthetic crash" in err
+
+
 @pytest.mark.parametrize(
     "cache, mutate",
     [

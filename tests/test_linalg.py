@@ -18,7 +18,7 @@ from foguel import (
     solve_inverse,
 )
 from foguel.errors import NotPositiveSemidefiniteError
-from foguel.linalg import adjoint
+from foguel.linalg import adjoint, certified_within, norm_lower_bound
 
 
 def test_hermitian_eigs_identity():
@@ -176,6 +176,70 @@ def test_multiset_match_any_permutation(perm):
     values = np.linspace(-3.0, 5.0, 8)
     result = multiset_match(values, values[perm], Tolerance(atol=1e-15))
     assert result.matched
+
+
+def _matrix_draw(seed: int, dim: int, extremal: bool) -> tuple:
+    """``(x, m)``; the extremal draw makes both certified inequalities tight.
+
+    A rank-one ``x`` has ``||x||_F == ||x||_2`` and a diagonal ``m`` has
+    ``norm_lower_bound(m) == ||m||``.
+    """
+    gen = SeededGenerator(seed)
+    if extremal:
+        u, w = gen.complex_gaussian(dim, 1), gen.complex_gaussian(dim, 1)
+        return u @ adjoint(w), np.diag(gen.complex_gaussian(1, dim)[0])
+    return gen.complex_gaussian(dim), gen.complex_gaussian(dim)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.booleans(),
+    st.floats(-8.0, 8.0),
+)
+@settings(deadline=None, max_examples=200)
+def test_norm_lower_bound_never_exceeds_operator_norm(seed, dim, extremal, log_scale):
+    _, m = _matrix_draw(seed, dim, extremal)
+    m = m * 10.0**log_scale
+    # equal for a diagonal m, up to the rounding of the two computations
+    assert norm_lower_bound(m) <= operator_norm(m) * (1.0 + 1e-12)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(0, 12),
+    st.floats(0.25, 4.0),
+    st.floats(-8.0, 8.0),
+)
+@settings(deadline=None, max_examples=300)
+def test_certified_within_implies_exact_bound(seed, dim, extremal, power, margin, log_scale):
+    x, m = _matrix_draw(seed, dim, extremal)
+    x = x * 10.0**log_scale
+    # an allowance at the acceptance threshold when margin == 1
+    coeff = margin * 2.0 * np.linalg.norm(x) / (1.0 + norm_lower_bound(m)) ** power
+
+    def allowed(norm):
+        return coeff * (1.0 + norm) ** power
+
+    if certified_within(x, m, allowed):
+        assert operator_norm(x) <= allowed(operator_norm(m))
+    if margin <= 0.99:
+        assert not certified_within(x, m, allowed)
+
+
+def test_certified_within_leaves_overflowing_allowances_to_the_exact_check():
+    x, m = np.zeros((2, 2)), np.diag([2.0, 1.0])
+
+    def allowed(norm):
+        return (1.0 + norm) ** 600
+
+    # finite at ||m|| = 2 but not at 2 ||m||_F = 4.47...
+    assert allowed(operator_norm(m)) < np.inf
+    assert not certified_within(x, m, allowed)
+    assert not certified_within(x, m, lambda norm: np.inf)
+    assert certified_within(x, m, lambda norm: (1.0 + norm) ** 300)
 
 
 def test_tolerance_validation():
