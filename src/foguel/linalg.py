@@ -33,6 +33,9 @@ RCOND_FLOOR = 1e-12
 #: Operator norm excess tolerated when validating a contraction.
 CONTRACTION_TOL = 1e-10
 
+#: Relative margin by which :func:`norm_certainly_below` lowers its bound.
+NORM_CERTIFICATE_MARGIN = 1e-8
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a 2-D complex128 array and validate its shape."""
@@ -172,6 +175,27 @@ def certified_within(x, m, allowed) -> bool:
     return bool(
         ceiling < math.inf and np.linalg.norm(x) <= allowed(norm_lower_bound(m)) / 2.0
     )
+
+
+def norm_certainly_below(m, bound) -> bool:
+    """True only when ``operator_norm(m) <= bound`` is certain, decided by one Cholesky.
+
+    ``||m|| <= M`` exactly when ``M^2 I - m m*`` is positive semidefinite.
+    The factorization of ``(M (1 - 1e-8))^2 I - m m*`` succeeds only when
+    that matrix is positive definite up to rounding of order
+    ``n eps ||m||^2``, which the margin absorbs.  False decides nothing and
+    the caller runs its exact check; it is also the answer when the lowered
+    bound lies outside ``(1e-150, 1e150)`` (so NaN and inf included) or the
+    factor is not finite.
+    """
+    level = float(bound) * (1.0 - NORM_CERTIFICATE_MARGIN)
+    if not 1e-150 < level < 1e150:
+        return False
+    try:
+        factor = np.linalg.cholesky(level * level * np.eye(m.shape[0]) - m @ adjoint(m))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def require_contraction(m, name: str = "matrix", tol: float = CONTRACTION_TOL) -> float:

@@ -4,16 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foguel import (
     EXPERIMENTS,
     ExperimentConfig,
+    SeededGenerator,
     SingularMatrixError,
     ValidationError,
     emit_report,
     run_experiment,
 )
 from foguel.cli import main
+from foguel.linalg import adjoint
 
 ALL_EXPERIMENTS = (
     "verify-norm",
@@ -387,3 +391,133 @@ def test_schur_experiment_catches_a_corrupted_operator_cache(monkeypatch, cache,
     except InternalConsistencyError:
         return
     assert not report.passed
+
+
+@pytest.mark.parametrize("experiment, per_trial", [("verify-power", 2), ("verify-inverses", 1)])
+def test_reported_checks_run_few_eigensolves_of_order_2n(monkeypatch, experiment, per_trial):
+    # only a check that can be a trial's worst ratio needs an exact norm:
+    # verify-power keeps ||R|| and its first nonzero residual, verify-inverses
+    # its first residual; every other check is settled by a certificate
+    order_2n = []
+
+    def counting(solver):
+        def wrapper(m, *args, **kwargs):
+            if np.shape(m)[-1] == 12:
+                order_2n.append(solver.__name__)
+            return solver(m, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    for seed in (0, 1, 2):
+        order_2n.clear()
+        config = ExperimentConfig(experiment, dim=6, power_max=10, trials=4, seed=seed)
+        assert run_experiment(config).passed
+        assert len(order_2n) <= per_trial * 4
+
+
+@pytest.mark.parametrize("power_max", [6, 32])
+def test_certified_skips_leave_report_bytes_unchanged(monkeypatch, power_max):
+    from foguel import experiments
+    from foguel.linalg import operator_norm
+
+    configs = [
+        ExperimentConfig(experiment, dim=dim, trials=3, seed=seed, power_max=power_max)
+        for experiment in ("verify-power", "verify-inverses")
+        for dim in (1, 2, 3, 8, 24)
+        for seed in (0, 7, 2024)
+    ]
+    reports = [run_experiment(c) for c in configs]
+    certified = [emit_report(r, fmt) for r in reports for fmt in ("json-lines", "csv")]
+
+    def add_norm(self, name, x, divisor, threshold):
+        self.add(name, operator_norm(x) / divisor, threshold)
+
+    # both certificates decline, so every check runs its exact norm
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments._Checks, "add_norm", add_norm)
+        patch.setattr(experiments, "norm_certainly_below", lambda m, bound: False)
+        reports = [run_experiment(c) for c in configs]
+        exact = [emit_report(r, fmt) for r in reports for fmt in ("json-lines", "csv")]
+    assert certified == exact
+
+
+def test_power_overflow_is_still_one_failed_trial(capsys):
+    code, out, _ = run_cli(
+        ["verify-power", "--dim", "2", "--trials", "1", "--power-max", "2000"], capsys
+    )
+    record, aggregate = (json.loads(line) for line in out.strip().split("\n"))
+    assert code == 1
+    assert record["reason"] == "overflow" and record["deviation"] is None
+    assert aggregate["pass_count"] == 0
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_checks_ratio_with_skips_equals_the_all_exact_ratio(data):
+    from foguel.experiments import _Checks
+    from foguel.linalg import operator_norm
+
+    gen = SeededGenerator(data.draw(st.integers(0, 2**32 - 1)))
+    items = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(["general", "rank-one", "zero", "repeat", "scalar"]))
+        dim = data.draw(st.integers(1, 6))
+        if kind == "repeat" and items and items[-1][0] == "norm":
+            items.append(items[-1])  # an exact tie with an earlier check
+            continue
+        if kind == "scalar":
+            measured, threshold = data.draw(st.floats(0.0, 10.0)), data.draw(st.floats(0.1, 10.0))
+            items.append(("scalar", measured, threshold))
+            continue
+        if kind == "rank-one":
+            x = gen.complex_gaussian(dim, 1) @ adjoint(gen.complex_gaussian(dim, 1))
+        elif kind == "zero":
+            x = np.zeros((dim, dim), dtype=np.complex128)
+        else:
+            x = gen.complex_gaussian(dim)
+        x = x * 10.0 ** data.draw(st.floats(-12.0, 4.0))
+        divisor = data.draw(st.floats(1.0, 1e3))
+        items.append(("norm", x, divisor, data.draw(st.floats(1e-3, 10.0))))
+    order = data.draw(st.permutations(range(len(items))))
+    scale = data.draw(st.sampled_from([1.0, 0.3, 7.0]))
+
+    skipping, exact = _Checks(scale), _Checks(scale)
+    for i in order:
+        item = items[i]
+        if item[0] == "scalar":
+            skipping.add("s", item[1], item[2])
+            exact.add("s", item[1], item[2])
+        else:
+            _, x, divisor, threshold = item
+            skipping.add_norm("x", x, divisor, threshold)
+            exact.add("x", operator_norm(x) / divisor, threshold)
+    assert skipping.ratio() == exact.ratio()
+
+
+def test_power_bound_mutant_fails_with_the_certificates_active():
+    # the power estimate with the factor n dropped, ||R^n|| <= Phi(||T||),
+    # is false for n >= 2; the report must fail, not certify it away
+    import dataclasses
+    import inspect
+    import textwrap
+
+    from foguel import experiments
+
+    source = textwrap.dedent(inspect.getsource(experiments._run_verify_power))
+    assert "foguel_norm_closed(n * t_norm)" in source
+    namespace = dict(vars(experiments))
+    mutant = source.replace("foguel_norm_closed(n * t_norm)", "foguel_norm_closed(t_norm)")
+    exec(mutant, namespace)
+    config = ExperimentConfig("verify-power", dim=6, power_max=4, trials=3, seed=5)
+    assert run_experiment(config).passed
+    spec = dataclasses.replace(
+        EXPERIMENTS["verify-power"], runner=namespace["_run_verify_power"]
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(EXPERIMENTS, "verify-power", spec)
+        report = run_experiment(config)
+    # failed by the power-bound check itself, not by a numeric error
+    assert report.pass_count == 0
+    assert all(r.reason == "" for r in report.records)

@@ -18,7 +18,7 @@ from foguel import (
     solve_inverse,
 )
 from foguel.errors import NotPositiveSemidefiniteError
-from foguel.linalg import adjoint, certified_within, norm_lower_bound
+from foguel.linalg import adjoint, certified_within, norm_certainly_below, norm_lower_bound
 
 
 def test_hermitian_eigs_identity():
@@ -240,6 +240,47 @@ def test_certified_within_leaves_overflowing_allowances_to_the_exact_check():
     assert not certified_within(x, m, allowed)
     assert not certified_within(x, m, lambda norm: np.inf)
     assert certified_within(x, m, lambda norm: (1.0 + norm) ** 300)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from(["general", "rank-one", "zero"]),
+    st.sampled_from([-1e-9, 1e-9, 1e-7, 1e-4, 0.5]),
+    st.floats(-8.0, 8.0),
+)
+@settings(deadline=None, max_examples=300)
+def test_norm_certainly_below_implies_exact_bound(seed, dim, kind, rel, log_scale):
+    gen = SeededGenerator(seed)
+    if kind == "rank-one":
+        m = gen.complex_gaussian(dim, 1) @ adjoint(gen.complex_gaussian(dim, 1))
+    elif kind == "zero":
+        m = np.zeros((dim, dim), dtype=np.complex128)
+    else:
+        m = gen.complex_gaussian(dim)
+    m = m * 10.0**log_scale
+    norm = operator_norm(m)
+    bound = (norm if norm > 0.0 else 10.0**log_scale) * (1.0 + rel)
+    certain = norm_certainly_below(m, bound)
+    if certain:
+        assert norm <= bound
+    # within the 1e-8 margin the certificate declines; well outside it, it decides
+    if rel < 1e-8 and kind != "zero":
+        assert not certain
+    if rel >= 1e-4:
+        assert certain
+
+
+def test_norm_certainly_below_declines_non_finite_and_non_positive_input():
+    m = np.diag([2.0, 1.0]).astype(np.complex128)
+    assert norm_certainly_below(m, 2.5)
+    for bound in (np.nan, np.inf, -2.5, 0.0, 1e200):
+        assert not norm_certainly_below(m, bound)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for bad in (np.nan, np.inf):
+            assert not norm_certainly_below(np.diag([bad, 1.0]), 2.5)
+        # finite entries whose product m m* overflows
+        assert not norm_certainly_below(np.full((2, 2), 1e155), 1e149)
 
 
 def test_tolerance_validation():

@@ -1,0 +1,104 @@
+"""Print the SHA-256 of every report in a fixed sweep of ``foguel`` runs.
+
+Run it from two checkouts and diff the outputs; equal lines mean
+byte-identical reports::
+
+    python3 tools/report_digests.py > before.txt    # in the old checkout
+    python3 tools/report_digests.py > after.txt     # in the new checkout
+    diff before.txt after.txt
+
+The default sweep runs the nine subcommands at dims 3, 8 and 24 in both
+formats with seed 7 and 5 trials, each with its own deep-iteration flag
+(``--power-max 6 --poly-degree 5 --neumann-order 30 --shift-dims 8,16,32``),
+plus ``verify-power --dim 2 --trials 1 --power-max 2000``, which must stay
+one ``overflow`` trial.  ``--seed`` replaces the seed list, ``--dims`` the
+dimension list, and each ``--bench-seed N`` adds the three benchmark plans
+of ``perfbench/workloads.py`` at seed ``N`` (json-lines, as the benchmark
+runs them; the large plan takes several seconds).
+
+Each line reads ``<sha256> <exit code> <argv>``.  The script imports the
+package from the ``src`` directory next to it and pins BLAS to one thread,
+because the reports are byte-stable only at a fixed thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from foguel import cli  # noqa: E402
+from foguel.experiments import EXPERIMENTS  # noqa: E402
+
+DEEP_FLAGS = {
+    "verify-power": ["--power-max", "6"],
+    "verify-polynomial": ["--poly-degree", "5"],
+    "verify-schur": ["--neumann-order", "30"],
+    "shift-convergence": ["--shift-dims", "8,16,32"],
+}
+
+
+def sweep(seeds, dims, bench_seeds) -> list:
+    """Every argv of the sweep, without ``--out``."""
+    runs = []
+    for seed in seeds:
+        for dim in dims:
+            for fmt in ("json-lines", "csv"):
+                for name in EXPERIMENTS:
+                    runs.append(
+                        [name, "--dim", str(dim), "--trials", "5", "--seed", str(seed),
+                         "--format", fmt, *DEEP_FLAGS.get(name, [])]
+                    )
+    runs.append(["verify-power", "--dim", "2", "--trials", "1", "--power-max", "2000"])
+    if bench_seeds:
+        import workloads
+
+        for seed in bench_seeds:
+            for workload in workloads.WORKLOADS:
+                runs += [call["argv"] for call in workloads.invocations(workload, seed)]
+    return runs
+
+
+def digest(argv: list, path: str) -> str:
+    if os.path.exists(path):
+        os.remove(path)
+    with open(os.devnull, "w") as quiet:
+        stderr, sys.stderr = sys.stderr, quiet
+        try:
+            code = cli.main([*argv, "--out", path])
+        finally:
+            sys.stderr = stderr
+    try:
+        with open(path, "rb") as handle:
+            sha = hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        sha = "no-report"
+    return f"{sha} {code} {' '.join(argv)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, action="append", help="sweep seed (default 7)")
+    parser.add_argument("--dims", default="3,8,24", help="comma-separated sweep dims")
+    parser.add_argument("--bench-seed", type=int, action="append", default=[],
+                        help="also digest the benchmark plans at this seed")
+    args = parser.parse_args(argv)
+    dims = [int(d) for d in args.dims.split(",")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        for run in sweep(args.seed or [7], dims, args.bench_seed):
+            print(digest(run, path), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
