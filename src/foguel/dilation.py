@@ -209,17 +209,30 @@ def power_offdiag(a, t, n: int) -> np.ndarray:
     return total
 
 
-def foguel_power(a, t, n: int) -> np.ndarray:
+def _direct_or(direct, r: np.ndarray, evaluate) -> np.ndarray:
+    """The caller's direct evaluation at ``R``, shape-checked, or ``evaluate(r)``."""
+    if direct is None:
+        return evaluate(r)
+    if np.shape(direct) != r.shape:
+        raise ValidationError(
+            f"direct evaluation must have shape {r.shape}, got {np.shape(direct)}"
+        )
+    return direct
+
+
+def foguel_power(a, t, n: int, direct=None) -> np.ndarray:
     """n-th power of ``[[A*, T], [0, A]]`` from the explicit block formula.
 
     Assembles ``[[(A*)^n, D_n], [0, A^n]]`` and self-checks it against
-    direct repeated multiplication; a mismatch beyond
+    direct repeated multiplication, ``direct`` when the caller passes its
+    own product ``R^n`` of the assembled ``R``; a mismatch beyond
     ``1e-9 * (1 + ||R||)^n`` is an internal-consistency error.
     """
     n = int(n)
     if n < 1:
         raise ValidationError(f"power index must be >= 1, got {n}")
     r = generalized_foguel(a, t)
+    direct = _direct_or(direct, r, lambda r: np.linalg.matrix_power(r, n))
     a = as_matrix(a)
     block = block2(
         np.linalg.matrix_power(adjoint(a), n),
@@ -231,7 +244,7 @@ def foguel_power(a, t, n: int) -> np.ndarray:
     def allowed(norm):
         return POWER_SELFCHECK_TOL * (1.0 + norm) ** n
 
-    residual = block - np.linalg.matrix_power(r, n)
+    residual = block - direct
     if not certified_within(residual, r, allowed):
         bound = allowed(operator_norm(r))
         dev = operator_norm(residual)
@@ -243,15 +256,17 @@ def foguel_power(a, t, n: int) -> np.ndarray:
     return block
 
 
-def poly_apply(p: Polynomial, a, t) -> np.ndarray:
+def poly_apply(p: Polynomial, a, t, direct=None) -> np.ndarray:
     """Evaluate ``p`` at ``[[A*, T], [0, A]]`` via the block formula.
 
     Returns ``[[sum_j a_j (A*)^j, sum_{j>=1} a_j D_j], [0, p(A)]]``; note the
     upper-left block carries the original coefficients (not their
     conjugates), which is what the power expansion forces.  Self-checked
-    against direct Horner evaluation.
+    against direct Horner evaluation, ``direct`` when the caller passes its
+    own ``p.at_matrix(R)``.
     """
     r = generalized_foguel(a, t)
+    direct = _direct_or(direct, r, p.at_matrix)
     a = as_matrix(a)
     t = as_matrix(t)
     dim = a.shape[0]
@@ -278,7 +293,7 @@ def poly_apply(p: Polynomial, a, t) -> np.ndarray:
         growth = 1.0 + norm
         return POLY_SELFCHECK_TOL * sum(abs(c) * growth**j for j, c in enumerate(p.coeffs))
 
-    residual = block - p.at_matrix(r)
+    residual = block - direct
     if not certified_within(residual, r, lambda norm: max(allowed(norm), POLY_SELFCHECK_TOL)):
         bound = allowed(operator_norm(r))
         dev = operator_norm(residual)
@@ -300,11 +315,13 @@ class PolyBoundReport:
     sup_norm: float
 
 
-def verify_poly_bound(p: Polynomial, a, t) -> PolyBoundReport:
+def verify_poly_bound(p: Polynomial, a, t, direct=None) -> PolyBoundReport:
     """Check ``||p(R)|| <= Phi(||tilde(p)'||_inf * ||T||)`` for a contraction ``A``.
 
     Requires ``sup_{|z|<=1} |p(z)| <= 1`` (estimated by dense boundary
     sampling); the bound is not asserted for unnormalized polynomials.
+    ``||p(R)||`` is the norm of ``direct`` when the caller passes its own
+    ``p.at_matrix(R)``, and of a fresh Horner evaluation otherwise.
     Negative slack beyond ``1e-8`` raises :class:`BoundViolationError`.
     """
     a = require_square(a, "A")
@@ -316,7 +333,7 @@ def verify_poly_bound(p: Polynomial, a, t) -> PolyBoundReport:
             "normalize before applying the bound"
         )
     r = generalized_foguel(a, t)
-    applied_norm = operator_norm(p.at_matrix(r))
+    applied_norm = operator_norm(_direct_or(direct, r, p.at_matrix))
     bound = foguel_norm_closed(tilde_deriv_bound(p) * operator_norm(as_matrix(t)))
     slack = bound - applied_norm
     if slack < -NORM_BOUND_SLACK_TOL:

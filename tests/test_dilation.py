@@ -384,3 +384,46 @@ def test_offdiagonal_norm_chain():
     # each link of the displayed inequality chain
     assert operator_norm(total) <= t_norm * chain + 1e-9
     assert t_norm * chain <= t_norm * tilde_deriv_bound(p) + 1e-9
+
+
+# --- a direct evaluation passed in by the caller -----------------------------
+
+
+def _pair_and_quadratic(seed):
+    gen = SeededGenerator(seed)
+    a, t = random_contraction(4, gen), ginibre(4, gen)
+    return a, t, generalized_foguel(a, t), Polynomial([0.25, 0.5j, -0.25])
+
+
+def test_block_self_checks_compare_against_the_direct_evaluation_passed_in():
+    a, t, r, p = _pair_and_quadratic(52)
+    power, value = np.linalg.matrix_power(r, 3), p.at_matrix(r)
+    assert np.array_equal(foguel_power(a, t, 3, power), foguel_power(a, t, 3))
+    assert np.array_equal(poly_apply(p, a, t, value), poly_apply(p, a, t))
+    # a 1e-6 shift of the oracle is far above both allowances at this size
+    shift = 1e-6 * np.eye(8)
+    with pytest.raises(InternalConsistencyError, match=r"multiplication by 1\.000e-06 "):
+        foguel_power(a, t, 3, power + shift)
+    with pytest.raises(InternalConsistencyError, match=r"evaluation by 1\.000e-06 "):
+        poly_apply(p, a, t, value + shift)
+
+
+def test_verify_poly_bound_takes_the_norm_of_the_direct_evaluation_passed_in():
+    a, t, r, p = _pair_and_quadratic(53)
+    report = verify_poly_bound(p, a, t)
+    assert verify_poly_bound(p, a, t, direct=p.at_matrix(r)) == report
+    halved = verify_poly_bound(p, a, t, direct=0.5 * p.at_matrix(r))
+    assert halved.applied_norm == pytest.approx(0.5 * report.applied_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 4), (9, 9), (8,)])
+def test_a_wrong_shaped_direct_evaluation_is_rejected(shape):
+    a, t, _, p = _pair_and_quadratic(54)
+    wrong = np.zeros(shape, dtype=complex)
+    for call in (
+        lambda: foguel_power(a, t, 2, wrong),
+        lambda: poly_apply(p, a, t, wrong),
+        lambda: verify_poly_bound(p, a, t, direct=wrong),
+    ):
+        with pytest.raises(ValidationError, match="direct evaluation must have shape"):
+            call()

@@ -521,3 +521,67 @@ def test_power_bound_mutant_fails_with_the_certificates_active():
     # failed by the power-bound check itself, not by a numeric error
     assert report.pass_count == 0
     assert all(r.reason == "" for r in report.records)
+
+
+def test_polynomial_trial_evaluates_p_of_r_once(monkeypatch):
+    # the runner's one Horner evaluation of R is the oracle of the block
+    # self-check, of the poly-formula check and of the norm bound
+    from foguel.dilation import Polynomial
+
+    original, shapes = Polynomial.at_matrix, []
+
+    def counting(self, m):
+        shapes.append(np.shape(m))
+        return original(self, m)
+
+    monkeypatch.setattr(Polynomial, "at_matrix", counting)
+    config = ExperimentConfig("verify-polynomial", dim=6, trials=3, seed=11)
+    assert run_experiment(config).passed
+    assert shapes == [(12, 12)] * 3
+
+
+def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
+    # R^n is the runner's running product, passed to foguel_power's self-check
+    original, orders = np.linalg.matrix_power, []
+
+    def counting(m, n):
+        orders.append(np.shape(m)[-1])
+        return original(m, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    config = ExperimentConfig("verify-power", dim=6, power_max=10, trials=2, seed=11)
+    assert run_experiment(config).passed
+    assert 6 in orders  # the diagonal blocks of the block formula
+    assert 12 not in orders
+
+
+@pytest.mark.parametrize("ratios", [(0.0, float("nan")), (float("nan"), 0.0)])
+def test_a_nan_ratio_is_binding_in_any_position(monkeypatch, ratios):
+    from foguel import experiments
+
+    checks = experiments._Checks()
+    for name, ratio in zip("ab", ratios):
+        checks.add(name, ratio, 1.0)
+    assert np.isnan(checks.ratio())
+    # after a NaN, add_norm runs its exact norm and the ratio stays NaN
+    exact = []
+    monkeypatch.setattr(experiments, "operator_norm", lambda x: exact.append(x) or 1e-300)
+    checks.add_norm("c", np.eye(2), 1.0, 1.0)
+    assert len(exact) == 1 and np.isnan(checks.ratio())
+
+
+def test_a_nan_after_a_finite_check_fails_the_trial(monkeypatch):
+    import dataclasses
+
+    from foguel.experiments import _Checks, _outcome
+
+    def runner(cfg, gen, base, scale):
+        checks = _Checks(scale)
+        checks.add("finite", 0.0, base / scale)
+        checks.add("nan", float("nan"), base / scale)
+        return _outcome(checks, base)
+
+    spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=runner)
+    monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)
+    report = run_experiment(small_config("verify-norm", trials=2))
+    assert report.pass_count == 0 and not report.passed
