@@ -2,7 +2,9 @@
 
 Everything here reduces to a Hermitian eigendecomposition so that one
 well-tested LAPACK kernel (``numpy.linalg.eigh``) backs the operator norm,
-the PSD square root and all positivity decisions.  All functions are pure:
+the PSD square root and all exact positivity decisions; the Cholesky
+certificates below decide a positivity question without an eigensolve
+when its answer is certain.  All functions are pure:
 inputs are never mutated and no module state exists, so concurrent use is
 safe.
 """
@@ -35,6 +37,9 @@ CONTRACTION_TOL = 1e-10
 
 #: Relative margin by which :func:`norm_certainly_below` lowers its bound.
 NORM_CERTIFICATE_MARGIN = 1e-8
+
+#: The constant ``c`` of :func:`psd_verdict`'s margin ``c m (m + 1) eps (||h||_F + |shift|)``.
+PSD_VERDICT_MARGIN = 4.0
 
 
 def as_matrix(m) -> np.ndarray:
@@ -177,6 +182,14 @@ def certified_within(x, m, allowed) -> bool:
     )
 
 
+def _cholesky_succeeds(a) -> bool:
+    """True when ``numpy.linalg.cholesky(a)`` succeeds with a finite factor."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def norm_certainly_below(m, bound) -> bool:
     """True only when ``operator_norm(m) <= bound`` is certain, decided by one Cholesky.
 
@@ -191,11 +204,54 @@ def norm_certainly_below(m, bound) -> bool:
     level = float(bound) * (1.0 - NORM_CERTIFICATE_MARGIN)
     if not 1e-150 < level < 1e150:
         return False
-    try:
-        factor = np.linalg.cholesky(level * level * np.eye(m.shape[0]) - m @ adjoint(m))
-    except np.linalg.LinAlgError:
+    return _cholesky_succeeds(level * level * np.eye(m.shape[0]) - m @ adjoint(m))
+
+
+def psd_verdict(h, shift) -> bool | None:
+    """The verdict ``eigvalsh(h)[0] >= -shift`` for a Hermitian ``h``, by Cholesky; None if unsure.
+
+    ``h`` must already be exactly Hermitian (e.g. ``(m + m*) / 2``).  With
+    ``m`` its order and ``mu = 4 m (m + 1) eps (||h||_F + |shift|)``, the
+    answer is True when ``h + (shift - mu) I`` factors with a finite
+    factor, False when ``h + (shift + mu) I`` does not factor, and None
+    otherwise.  For a factored matrix ``A`` (``||A||_2`` at most the scale
+    ``||h||_F + |shift|`` plus ``mu``) and ``u = eps / 2``, ``mu`` covers
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    SIAM 2002, §10.1):
+
+    - the backward error of a successful factorization, ``R* R = A + dA``
+      with ``||dA||_2`` about ``m (m + 1) u ||A||_2`` (Thm 10.5), so
+      ``lambda_min(A) >= -||dA||_2``;
+    - Demmel's condition (Thm 10.7, with ``max_i a_ii <= ||A||_2``): the
+      factorization succeeds once ``lambda_min(A)`` exceeds about that same
+      amount, so a failure bounds ``lambda_min(A)`` above;
+    - the error of the ``lambda_min`` that ``eigvalsh`` computes, and the
+      exact verdict compares: a modest multiple of ``m u ||h||_2``, as the
+      eigensolver is backward stable (Weyl).
+
+    Each answer needs one factorization bound plus the eigensolver's error
+    and the rounding of the shifted diagonal; ``8 m (m + 1) u`` leaves room
+    for complex arithmetic.  So True and False are the exact verdict, and
+    None leaves it to the caller's eigensolve.  None is also the answer for
+    a non-finite ``h`` or ``shift``, and for a scale outside
+    ``(1e-150, 1e150)``, where the factorization may underflow or overflow.
+    """
+    m = h.shape[0]
+    scale = float(np.linalg.norm(h)) + abs(float(shift))
+    if not 1e-150 < scale < 1e150:
+        return None
+    mu = PSD_VERDICT_MARGIN * m * (m + 1) * np.finfo(np.float64).eps * scale
+
+    def shifted(by):
+        a = h.copy()  # C-contiguous, so ravel() is a view and [:: m + 1] its diagonal
+        a.ravel()[:: m + 1] += by
+        return a
+
+    if _cholesky_succeeds(shifted(shift - mu)):
+        return True
+    if not _cholesky_succeeds(shifted(shift + mu)):
         return False
-    return bool(np.isfinite(factor).all())
+    return None
 
 
 def require_contraction(m, name: str = "matrix", tol: float = CONTRACTION_TOL) -> float:

@@ -125,8 +125,8 @@ class FoguelOperator:
 
     The remaining cached properties do not depend on a positivity level, so
     a norm bisection computes each once per operator: ``gram_eigvals`` (the
-    only 2n x 2n eigensolve), ``v_contraction_norm``, the eigenpairs
-    ``vv_eigs`` of ``V V*``, ``gram_corner`` and ``coupling``.  Every
+    only 2n x 2n eigensolve), ``symbol_norm``, ``v_contraction_norm``, the
+    eigenpairs ``vv_eigs`` of ``V V*``, ``gram_corner`` and ``coupling``.  Every
     property is computed on first access from ``v`` and ``t``, which must
     not be mutated afterwards; the cached arrays are read-only.
     """
@@ -175,6 +175,11 @@ class FoguelOperator:
     def gram_eigvals(self) -> np.ndarray:
         """Ascending spectrum of ``gram``, from a 2n x 2n eigensolve of ``gram`` itself."""
         return _read_only(hermitian_eigvals(self.gram))
+
+    @cached_property
+    def symbol_norm(self) -> float:
+        """``||T||``, the norm of the symbol."""
+        return operator_norm(self.t)
 
     @cached_property
     def v_contraction_norm(self) -> float:

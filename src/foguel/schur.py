@@ -11,6 +11,7 @@ positivity verdicts alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .linalg import (
     hermitian_eigs,
     hermitian_eigvals,
     operator_norm,
+    psd_verdict,
     require_contraction,
     require_hermitian,
     require_pair,
@@ -86,14 +88,22 @@ def schur_complement(p, x, q, *, floor: float = POSITIVE_DEFINITE_FLOOR) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class PositivityCertificate:
-    """Verdict on ``M^2 I - R R* >= 0`` via the reduced n x n condition."""
+    """Verdict on ``M^2 I - R R* >= 0`` via the reduced n x n condition.
+
+    ``min_eigenvalue``, the reduced matrix's smallest eigenvalue, is
+    computed on first read, so a caller that needs only ``positive`` never
+    pays for the eigensolve.
+    """
 
     level: float
     reduced_matrix: np.ndarray
-    min_eigenvalue: float
     positive: bool
     direct_min_eigenvalue: float
     threshold: float
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        return float(hermitian_eigvals(self.reduced_matrix)[0])
 
 
 def foguel_positivity(
@@ -108,7 +118,10 @@ def foguel_positivity(
     the two may straddle the threshold only inside the singular band, and a
     confident disagreement raises :class:`InternalConsistencyError`.
     Both routes read level-independent spectra cached on ``op``, so a level
-    costs one n x n product and one n x n eigensolve.
+    costs one n x n product and at most two n x n Cholesky factorizations
+    (:func:`~foguel.linalg.psd_verdict`).  The reduced matrix's exact
+    eigensolve runs only when that certificate cannot decide or disagrees
+    with the direct route, so the verdict is always the exact one.
 
     PSD is declared when the minimum eigenvalue is at least ``-tol_abs``
     with default ``1e-10 * (1 + level^2)``; an exact zero crossing at
@@ -129,15 +142,16 @@ def foguel_positivity(
     w, _ = op.vv_eigs
     upper = level_sq * np.eye(op.dim, dtype=np.complex128) - op.gram_corner
     reduced = _complement(upper, op.coupling, level_sq - w, POSITIVE_DEFINITE_FLOOR)
-    reduced_min = float(hermitian_eigvals(reduced)[0])
     # direct route: eig(level^2 I - G) = level^2 - eig(G), read from an
     # eigensolve of the 2n x 2n Gram operator, never from the reduced matrix
     direct_min = level_sq - float(op.gram_eigvals[-1])
-
-    verdict_reduced = reduced_min >= -tol_abs
     verdict_direct = direct_min >= -tol_abs
-    if verdict_reduced != verdict_direct:
-        if min(abs(reduced_min), abs(direct_min)) > tol_abs:
+
+    positive = psd_verdict(reduced, tol_abs)
+    if positive != verdict_direct:  # undecided, or a disagreement to judge exactly
+        reduced_min = float(hermitian_eigvals(reduced)[0])
+        positive = reduced_min >= -tol_abs
+        if positive != verdict_direct and min(abs(reduced_min), abs(direct_min)) > tol_abs:
             raise InternalConsistencyError(
                 f"reduced and direct positivity verdicts disagree at "
                 f"level={level!r}: reduced min eig {reduced_min:.3e}, "
@@ -148,8 +162,7 @@ def foguel_positivity(
     return PositivityCertificate(
         level=level,
         reduced_matrix=reduced,
-        min_eigenvalue=reduced_min,
-        positive=verdict_reduced,
+        positive=positive,
         direct_min_eigenvalue=direct_min,
         threshold=tol_abs,
     )
@@ -223,7 +236,7 @@ def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
     :class:`InternalConsistencyError`.
     """
     width_target = tol.atol if tol.atol > 0 else tol.rtol
-    t_norm = operator_norm(op.t)
+    t_norm = op.symbol_norm
     closed = foguel_norm_closed(t_norm)
     if t_norm == 0.0 or closed - 1.0 < 1e-12:
         return NormBisection(

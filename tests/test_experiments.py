@@ -585,3 +585,34 @@ def test_a_nan_after_a_finite_check_fails_the_trial(monkeypatch):
     monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)
     report = run_experiment(small_config("verify-norm", trials=2))
     assert report.pass_count == 0 and not report.passed
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_deviation_is_a_failed_trial_with_exit_one(monkeypatch, capsys, fmt, value):
+    import dataclasses
+
+    from foguel.experiments import _Checks, _outcome
+
+    def runner(cfg, gen, base, scale):
+        checks = _Checks(scale)
+        checks.add("finite", 0.0, base / scale)
+        checks.add("non-finite", value, base / scale)
+        return _outcome(checks, base)
+
+    spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=runner)
+    monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)
+    code, out, err = run_cli(["verify-norm", "--trials", "2", "--format", fmt], capsys)
+    assert code == 1
+    assert "0/2 trials passed" in err
+    if fmt == "csv":
+        assert out.splitlines()[1:] == [
+            "verify-norm,0,0,,,false,non-finite",
+            "verify-norm,0,1,,,false,non-finite",
+        ]
+        return
+    *records, aggregate = (json.loads(line) for line in out.splitlines())
+    for record in records:
+        assert record["reason"] == "non-finite" and not record["pass"]
+        assert record["deviation"] is None and record["slack"] is None
+    assert aggregate["deviation"] is None and aggregate["pass_count"] == 0

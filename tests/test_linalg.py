@@ -18,7 +18,14 @@ from foguel import (
     solve_inverse,
 )
 from foguel.errors import NotPositiveSemidefiniteError
-from foguel.linalg import adjoint, certified_within, norm_certainly_below, norm_lower_bound
+from foguel.linalg import (
+    PSD_VERDICT_MARGIN,
+    adjoint,
+    certified_within,
+    norm_certainly_below,
+    norm_lower_bound,
+    psd_verdict,
+)
 
 
 def test_hermitian_eigs_identity():
@@ -281,6 +288,52 @@ def test_norm_certainly_below_declines_non_finite_and_non_positive_input():
             assert not norm_certainly_below(np.diag([bad, 1.0]), 2.5)
         # finite entries whose product m m* overflows
         assert not norm_certainly_below(np.full((2, 2), 1e155), 1e149)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 32),
+    st.sampled_from([0.5, 2.0, 10.0, 1e3]),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-12.0, 0.5),
+    st.integers(-6, 6),
+)
+@settings(deadline=None, max_examples=300)
+def test_psd_verdict_is_the_exact_verdict(seed, dim, k, side, log_shift, log_scale):
+    # h = Q diag(lam) Q* with lam_min placed at -shift + side * k * mu
+    gen = SeededGenerator(seed)
+    scale = 10.0**log_scale
+    shift = scale * 10.0**log_shift
+    lam = np.concatenate([[-shift], -shift + scale * gen.rng.uniform(0.1, 4.0, dim - 1)])
+    mu = PSD_VERDICT_MARGIN * dim * (dim + 1) * np.finfo(float).eps * (
+        np.linalg.norm(lam) + shift
+    )
+    lam[0] += side * k * mu
+    q = haar_unitary(dim, gen)
+    h = (q * lam) @ adjoint(q)
+    h = (h + adjoint(h)) / 2.0
+    verdict = psd_verdict(h, shift)
+    exact = bool(np.linalg.eigvalsh(h)[0] >= -shift)
+    if verdict is not None:
+        assert verdict == exact
+    # two margins from the threshold, the factorization decides
+    if k >= 2.0:
+        assert verdict is (side > 0)
+
+
+def test_psd_verdict_declines_non_finite_and_extreme_input():
+    h = np.diag([2.0, 1.0]).astype(np.complex128)
+    assert psd_verdict(h, 0.5) is True
+    assert psd_verdict(h, -1.5) is False
+    for shift in (np.nan, np.inf, -np.inf, 1e200):
+        assert psd_verdict(h, shift) is None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert psd_verdict(np.diag([bad, 1.0]), 0.5) is None
+        # finite entries whose Frobenius norm overflows
+        assert psd_verdict(np.diag([1e300, 1e300]), 0.5) is None
+    # zero sits exactly on the threshold, below the smallest scale decided
+    assert psd_verdict(np.zeros((2, 2)), 0.0) is None
 
 
 def test_tolerance_validation():

@@ -25,7 +25,7 @@ from foguel import (
     symbol_norm_from_foguel,
     truncated_shift,
 )
-from foguel.linalg import adjoint
+from foguel.linalg import adjoint, hermitian_eigvals
 
 
 def _unitary_pair(n, seed):
@@ -160,6 +160,44 @@ def test_foguel_positivity_verdicts_agree():
     assert checked > 75
 
 
+def _exact_verdict(cert):
+    return bool(hermitian_eigvals(cert.reduced_matrix)[0] >= -cert.threshold)
+
+
+@pytest.mark.parametrize("slot", ["unitary", "random-contraction", "truncated-shift"])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_foguel_positivity_verdict_is_exact_at_the_norm(slot, dim):
+    # the Cholesky certificate decides most levels; it must give the exact
+    # eigensolve's verdict even where that verdict flips, within 1e-9 of ||R||
+    for seed in range(3):
+        gen = SeededGenerator(64 + seed)
+        if slot == "unitary":
+            v = haar_unitary(dim, gen)
+        elif slot == "random-contraction":
+            v = random_contraction(dim, gen)
+        else:
+            v = truncated_shift(dim)
+        op = build_foguel(v, ginibre(dim, gen), require_isometry=slot == "unitary")
+        norm = operator_norm(op.matrix)
+        lower, upper = norm - 1e-9, norm + 1e-9
+        assert not _exact_verdict(foguel_positivity(op, lower))
+        assert _exact_verdict(foguel_positivity(op, upper))
+        levels = [lower, upper]
+        while np.nextafter(lower, upper) < upper:  # down to adjacent floats
+            mid = (lower + upper) / 2.0
+            levels.append(mid)
+            if _exact_verdict(foguel_positivity(op, mid)):
+                upper = mid
+            else:
+                lower = mid
+        for _ in range(8):
+            levels += [lower, upper]
+            lower, upper = np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)
+        for level in levels:
+            cert = foguel_positivity(op, level)
+            assert cert.positive == _exact_verdict(cert)
+
+
 # --- Neumann series ----------------------------------------------------------
 
 
@@ -275,6 +313,29 @@ def test_bisection_eigensolves_of_order_2n_do_not_scale_with_iterations(monkeypa
         iterations.append(result.iterations)
     assert iterations[0] < iterations[1]
     assert counts[0] == counts[1] > 0
+
+
+def test_bisection_runs_no_eigensolve_of_order_n_per_level(monkeypatch):
+    # a level's verdict comes from a Cholesky certificate; only the cached
+    # ||T||, ||V|| and eig(V V*) need an n x n eigensolve
+    v, t = _unitary_pair(6, seed=71)
+    op = build_foguel(v, t)
+    order_n = []
+
+    def counting(solver):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a)[-1] == 6:
+                order_n.append(solver.__name__)
+            return solver(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    result = norm_by_bisection(op, Tolerance(atol=1e-7))
+    assert result.iterations >= 25
+    assert len(order_n) <= 4
+    assert op.symbol_norm == operator_norm(t)
 
 
 def test_bisection_zero_symbol_short_circuit():
