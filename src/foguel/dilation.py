@@ -17,14 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundViolationError, InternalConsistencyError, ValidationError
+from .errors import BoundViolationError, ValidationError
 from .linalg import (
     CONTRACTION_TOL,
     adjoint,
     as_matrix,
     block2,
-    certified_within,
     operator_norm,
+    require_agreement,
     require_contraction,
     require_pair,
     require_square,
@@ -241,18 +241,10 @@ def foguel_power(a, t, n: int, direct=None) -> np.ndarray:
         np.linalg.matrix_power(a, n),
     )
 
-    def allowed(norm):
-        return POWER_SELFCHECK_TOL * (1.0 + norm) ** n
-
-    residual = block - direct
-    if not certified_within(residual, r, allowed):
-        bound = allowed(operator_norm(r))
-        dev = operator_norm(residual)
-        if dev > bound:
-            raise InternalConsistencyError(
-                f"power block formula deviates from direct multiplication by "
-                f"{dev:.3e} (allowed {bound:.3e})"
-            )
+    require_agreement(
+        block, direct, r, lambda norm: POWER_SELFCHECK_TOL * (1.0 + norm) ** n,
+        "power block formula deviates from direct multiplication",
+    )
     return block
 
 
@@ -291,17 +283,12 @@ def poly_apply(p: Polynomial, a, t, direct=None) -> np.ndarray:
 
     def allowed(norm):
         growth = 1.0 + norm
-        return POLY_SELFCHECK_TOL * sum(abs(c) * growth**j for j, c in enumerate(p.coeffs))
+        total = sum(abs(c) * growth**j for j, c in enumerate(p.coeffs))
+        return max(POLY_SELFCHECK_TOL * total, POLY_SELFCHECK_TOL)
 
-    residual = block - direct
-    if not certified_within(residual, r, lambda norm: max(allowed(norm), POLY_SELFCHECK_TOL)):
-        bound = allowed(operator_norm(r))
-        dev = operator_norm(residual)
-        if dev > max(bound, POLY_SELFCHECK_TOL):
-            raise InternalConsistencyError(
-                f"polynomial block formula deviates from direct evaluation by "
-                f"{dev:.3e} (allowed {bound:.3e})"
-            )
+    require_agreement(
+        block, direct, r, allowed, "polynomial block formula deviates from direct evaluation"
+    )
     return block
 
 

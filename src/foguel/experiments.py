@@ -33,6 +33,9 @@ from .linalg import Tolerance, adjoint, norm_certainly_below, operator_norm, sol
 
 DIM_CEILING = 512
 
+#: Order of shift-convergence's fixed symbol, the smallest shift dim that holds it.
+SHIFT_SYMBOL_DIM = 4
+
 #: Errors that turn into failed trials instead of aborting the experiment,
 #: with the reason code each one records.
 _REASON_CODES = {
@@ -72,8 +75,12 @@ class ExperimentConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.tol is not None and not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
+        base_tol = EXPERIMENTS[self.experiment].base_tol
+        if self.tol is not None and not np.finfo(float).tiny <= self.tol / base_tol < math.inf:
+            raise ValidationError(
+                f"tol must be positive with a finite, normal ratio to the default "
+                f"{base_tol:g}, got {self.tol}"
+            )
         if self.output_format not in ("json-lines", "csv"):
             raise ValidationError(
                 f"output format must be 'json-lines' or 'csv', got {self.output_format!r}"
@@ -85,9 +92,10 @@ class ExperimentConfig:
         if self.neumann_order < 0:
             raise ValidationError(f"neumann-order must be >= 0, got {self.neumann_order}")
         dims = tuple(int(d) for d in self.shift_dims)
-        if not dims or any(not 1 <= d <= DIM_CEILING for d in dims):
+        if not dims or any(not SHIFT_SYMBOL_DIM <= d <= DIM_CEILING for d in dims):
             raise ValidationError(
-                f"shift-dims must be nonempty with entries in [1, {DIM_CEILING}], got {dims}"
+                f"shift-dims must be nonempty with entries in "
+                f"[{SHIFT_SYMBOL_DIM}, {DIM_CEILING}], got {dims}"
             )
         if self.fixture is not None and self.fixture != "golden":
             raise ValidationError(f"unknown fixture {self.fixture!r}; only 'golden' exists")
@@ -128,15 +136,20 @@ class ExperimentReport:
 
 
 class _Checks:
-    """Collect (measured, threshold) pairs; reduce to one scaled deviation.
+    """One trial's named checks, kept as the running maximum of measured/threshold.
 
-    ``ratio()`` is the worst measured/threshold quotient; deviation is that
-    ratio rescaled to the experiment's base tolerance so a trial passes iff
-    its deviation stays at or below the base.
+    A runner writes each threshold as it stands at the default tolerance:
+    in units of ``tol``, the experiment's default base tolerance
+    (``10.0 * checks.tol``), or as a literal.  ``add`` multiplies every
+    threshold by ``scale = base / tol`` for the trial's base tolerance
+    ``base``, so ``--tol`` scales them all alike.  ``ratio()`` is the
+    worst quotient; :func:`run_experiment` turns it into the trial's
+    deviation ``base * ratio()``, which passes iff it is at most ``base``.
     """
 
-    def __init__(self, scale: float = 1.0):
-        self.scale = scale
+    def __init__(self, base: float, tol: float):
+        self.tol = tol
+        self.scale = base / tol
         self.worst = None  # running maximum; a NaN ratio stays the maximum once added
 
     def add(self, name: str, measured: float, threshold: float) -> None:
@@ -168,17 +181,10 @@ class _Checks:
         return 0.0 if self.worst is None else self.worst
 
 
-def _outcome(checks: _Checks, base: float, slack: float | None = None):
-    deviation = float(base * checks.ratio())
-    if slack is None:
-        slack = base - deviation
-    return deviation, float(slack), deviation <= base
-
-
 # --- individual experiments -------------------------------------------------
 
 
-def _run_verify_norm(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_norm(cfg: ExperimentConfig, gen, checks: _Checks):
     if cfg.fixture == "golden":
         v = np.eye(1, dtype=np.complex128)
         t = np.eye(1, dtype=np.complex128)
@@ -188,27 +194,23 @@ def _run_verify_norm(cfg: ExperimentConfig, gen, base: float, scale: float):
     op = models.build_foguel(v, t)
     t_norm = operator_norm(t)
     dev = abs(operator_norm(op.matrix) - spectral.foguel_norm_closed(t_norm))
-    checks = _Checks(scale)
-    checks.add("norm-identity", dev / (1.0 + t_norm), base / scale)
-    return _outcome(checks, base)
+    checks.add("norm-identity", dev / (1.0 + t_norm), checks.tol)
 
 
-def _run_verify_spectrum(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_spectrum(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     t_norm = operator_norm(t)
     report = spectral.verify_spectral_mapping(
-        op, Tolerance(atol=base * (1.0 + t_norm**2))
+        op, Tolerance(atol=checks.tol * (1.0 + t_norm**2))
     )
     pair_dev = 0.0
     for mu in report.symbol_gram_spectrum:
         lam_minus, lam_plus = spectral.inverse_branches(mu)
         pair_dev = max(pair_dev, abs(lam_minus * lam_plus - 1.0))
-    checks = _Checks(scale)
-    checks.add("spectrum-multiset", report.max_deviation / (1.0 + t_norm**2), base / scale)
+    checks.add("spectrum-multiset", report.max_deviation / (1.0 + t_norm**2), checks.tol)
     checks.add("branch-product", pair_dev, 1e-12)
-    return _outcome(checks, base)
 
 
 def _sample_gap_mu(symbol_eigs: np.ndarray, gen, max_draws: int = 1000) -> float:
@@ -222,7 +224,7 @@ def _sample_gap_mu(symbol_eigs: np.ndarray, gen, max_draws: int = 1000) -> float
     raise ValidationError("could not sample a spectral-gap-respecting eigenvalue shift")
 
 
-def _run_verify_resolvent(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_resolvent(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
@@ -234,13 +236,11 @@ def _run_verify_resolvent(cfg: ExperimentConfig, gen, base: float, scale: float)
     eq_res = operator_norm(
         adjoint(t) @ blocks.a - (lam - 1.0) * adjoint(v) @ adjoint(blocks.x)
     )
-    checks = _Checks(scale)
-    checks.add("resolvent-residual", blocks.residual, base / scale)
-    checks.add("offdiag-relation", eq_res, (base / scale) / 10.0)
-    return _outcome(checks, base)
+    checks.add("resolvent-residual", blocks.residual, checks.tol)
+    checks.add("offdiag-relation", eq_res, checks.tol / 10.0)
 
 
-def _run_verify_inverses(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_inverses(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
@@ -258,13 +258,11 @@ def _run_verify_inverses(cfg: ExperimentConfig, gen, base: float, scale: float):
     # the exact norm goes first to the likeliest binding residual, so the
     # others can skip theirs; the maximum does not depend on the order
     residuals.sort(key=lambda c: np.linalg.norm(c[1]) / (c[2] * c[3]), reverse=True)
-    checks = _Checks(scale)
     for name, x, divisor, factor in residuals:
-        checks.add_norm(name, x, divisor, factor * base / scale)
-    return _outcome(checks, base)
+        checks.add_norm(name, x, divisor, factor * checks.tol)
 
 
-def _run_verify_dilation(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_dilation(cfg: ExperimentConfig, gen, checks: _Checks):
     a = models.random_contraction(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     lift = dil.lift_foguel(a, t)
@@ -275,26 +273,23 @@ def _run_verify_dilation(cfg: ExperimentConfig, gen, base: float, scale: float):
     w_norm = operator_norm(lift.lifted)
     r_norm = operator_norm(dil.generalized_foguel(a, t))
 
-    checks = _Checks(scale)
-    checks.add("dilation-unitarity", unitarity, base / scale)
-    checks.add("lifted-norm", abs(w_norm - closed) / (1.0 + t_norm), 10.0 * base / scale)
-    checks.add("compression-vs-lift", max(0.0, r_norm - w_norm), base / (10.0 * scale))
-    checks.add("compression-vs-closed", max(0.0, r_norm - closed), 10.0 * base / scale)
-    return _outcome(checks, base)
+    checks.add("dilation-unitarity", unitarity, checks.tol)
+    checks.add("lifted-norm", abs(w_norm - closed) / (1.0 + t_norm), 10.0 * checks.tol)
+    checks.add("compression-vs-lift", max(0.0, r_norm - w_norm), checks.tol / 10.0)
+    checks.add("compression-vs-closed", max(0.0, r_norm - closed), 10.0 * checks.tol)
 
 
-def _run_verify_power(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_power(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     r = dil.generalized_foguel(v, t)
     t_norm = operator_norm(t)
     r_norm = operator_norm(r)
-    checks = _Checks(scale)
     direct = np.eye(2 * cfg.dim, dtype=np.complex128)
     for n in range(1, cfg.power_max + 1):
         direct = direct @ r
         block = dil.foguel_power(v, t, n, direct)
-        checks.add_norm(f"power-formula-{n}", block - direct, (1.0 + r_norm) ** n, base / scale)
+        checks.add_norm(f"power-formula-{n}", block - direct, (1.0 + r_norm) ** n, checks.tol)
         # the excess over the bound is 0.0 wherever the certificate holds
         bound = spectral.foguel_norm_closed(n * t_norm)
         if n == 1:
@@ -303,8 +298,7 @@ def _run_verify_power(cfg: ExperimentConfig, gen, base: float, scale: float):
             excess = 0.0
         else:
             excess = max(0.0, operator_norm(direct) - bound)
-        checks.add(f"power-bound-{n}", excess, 10.0 * base / scale)
-    return _outcome(checks, base)
+        checks.add(f"power-bound-{n}", excess, 10.0 * checks.tol)
 
 
 def _random_unit_polynomial(degree: int, gen) -> dil.Polynomial:
@@ -323,7 +317,7 @@ def _random_unit_polynomial(degree: int, gen) -> dil.Polynomial:
     return dil.Polynomial(c / deflate for c in p.coeffs)
 
 
-def _run_verify_polynomial(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_polynomial(cfg: ExperimentConfig, gen, checks: _Checks):
     a = models.random_contraction(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     p = _random_unit_polynomial(cfg.poly_degree, gen)
@@ -337,19 +331,16 @@ def _run_verify_polynomial(cfg: ExperimentConfig, gen, base: float, scale: float
     dev = operator_norm(block - direct) / max(growth, 1.0)
     report = dil.verify_poly_bound(p, a, t, direct)
 
-    checks = _Checks(scale)
-    checks.add("poly-bound", max(0.0, -report.slack), base / scale)
-    checks.add("poly-formula", dev, base / (10.0 * scale))
-    return _outcome(checks, base)
+    checks.add("poly-bound", max(0.0, -report.slack), checks.tol)
+    checks.add("poly-formula", dev, checks.tol / 10.0)
 
 
-def _run_verify_schur(cfg: ExperimentConfig, gen, base: float, scale: float):
+def _run_verify_schur(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     t_norm = op.symbol_norm
     closed = spectral.foguel_norm_closed(t_norm)
-    checks = _Checks(scale)
 
     # reduced-vs-direct verdict agreement, redrawing borderline levels
     agree = None
@@ -392,15 +383,14 @@ def _run_verify_schur(cfg: ExperimentConfig, gen, base: float, scale: float):
     # iteration budget is enforced inside norm_by_bisection itself
     result = schur.norm_by_bisection(op, Tolerance(atol=1e-7))
     svd_norm = operator_norm(op.matrix)
-    checks.add("bisection-vs-norm", abs(result.value - svd_norm), base / scale)
-    checks.add("bisection-vs-closed", abs(result.value - closed), base / scale)
+    checks.add("bisection-vs-norm", abs(result.value - svd_norm), checks.tol)
+    checks.add("bisection-vs-closed", abs(result.value - closed), checks.tol)
     # added last, so its eigensolve runs only if it can be the worst ratio
     checks.add_norm("neumann-closed-form", cf_residual, max(t_norm**2, 1e-30), 1e-10)
-    return _outcome(checks, base)
 
 
-def _run_shift_convergence(cfg: ExperimentConfig, gen, base: float, scale: float):
-    t_small = models.ginibre(4, gen)
+def _run_shift_convergence(cfg: ExperimentConfig, gen, checks: _Checks):
+    t_small = models.ginibre(SHIFT_SYMBOL_DIM, gen)
     t_norm = operator_norm(t_small)
     closed = spectral.foguel_norm_closed(t_norm)
     dims = sorted(cfg.shift_dims)
@@ -412,24 +402,26 @@ def _run_shift_convergence(cfg: ExperimentConfig, gen, base: float, scale: float
         )
         norms.append(operator_norm(op.matrix))
 
-    checks = _Checks(scale)
     for i in range(len(norms) - 1):
         checks.add(
             f"monotone-{dims[i]}-{dims[i + 1]}",
             max(0.0, norms[i] - norms[i + 1]),
-            base / scale,
+            checks.tol,
         )
     for big, value in zip(dims, norms):
-        checks.add(f"bound-{big}", max(0.0, value - closed), 100.0 * base / scale)
-    deviation, _, passed = _outcome(checks, base)
+        checks.add(f"bound-{big}", max(0.0, value - closed), 100.0 * checks.tol)
     # slack reports the convergence gap at the largest dimension; the
     # truncation rate itself is informational, never asserted
-    return deviation, closed - norms[-1], passed
+    return closed - norms[-1]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One subcommand: its runner, base tolerance, help line and own flags.
+
+    ``runner(cfg, gen, checks)`` adds one trial's named checks to a
+    :class:`_Checks` and returns None, or a slack of its own in place of
+    the default ``base - deviation``.
 
     ``flags`` names the :class:`ExperimentConfig` fields the runner reads
     beyond the ones every experiment takes; the CLI and the config-file
@@ -493,19 +485,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config = config.validate()
     spec = EXPERIMENTS[config.experiment]
     base = config.base_tolerance()
-    scale = base / spec.base_tol
     started = time.perf_counter()
 
     records = []
     for trial in range(config.trials):
         gen = models.SeededGenerator(config.seed, trial)
-        reason = ""
+        checks = _Checks(base, spec.base_tol)
+        deviation, slack, passed, reason = None, None, False, ""
         try:
-            deviation, slack, passed = spec.runner(config, gen, base, scale)
+            slack = spec.runner(config, gen, checks)
         except _EXPECTED_ERRORS as exc:
-            deviation, slack, passed = None, None, False
             reason = _REASON_CODES.get(type(exc), "numeric-error")
         else:
+            deviation = float(base * checks.ratio())
+            slack = base - deviation if slack is None else slack
+            passed = deviation <= base
             if not (math.isfinite(deviation) and math.isfinite(slack)):
                 deviation, slack, passed, reason = None, None, False, "non-finite"
         records.append(

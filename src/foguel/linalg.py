@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InternalConsistencyError,
     NotPositiveSemidefiniteError,
     SingularMatrixError,
     ValidationError,
@@ -180,6 +181,23 @@ def certified_within(x, m, allowed) -> bool:
     return bool(
         ceiling < math.inf and np.linalg.norm(x) <= allowed(norm_lower_bound(m)) / 2.0
     )
+
+
+def require_agreement(formula, direct, m, allowed, what: str) -> None:
+    """Raise unless ``||formula - direct|| <= allowed(||m||)``: the block-formula self-check.
+
+    :func:`certified_within` accepts without an eigensolve when it can;
+    otherwise both operator norms are computed exactly and a mismatch
+    raises :class:`InternalConsistencyError` reading ``"<what> by <dev>
+    (allowed <bound>)"``.
+    """
+    residual = formula - direct
+    if certified_within(residual, m, allowed):
+        return
+    bound = allowed(operator_norm(m))
+    dev = operator_norm(residual)
+    if dev > bound:
+        raise InternalConsistencyError(f"{what} by {dev:.3e} (allowed {bound:.3e})")
 
 
 def _cholesky_succeeds(a) -> bool:

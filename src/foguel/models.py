@@ -18,15 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     adjoint,
     as_matrix,
     block2,
-    certified_within,
     hermitian_eigs,
     hermitian_eigvals,
     operator_norm,
+    require_agreement,
     require_contraction,
     require_pair,
 )
@@ -156,19 +156,11 @@ class FoguelOperator:
         bottom_right = v @ vs
         g = block2(self.gram_corner, top_right, adjoint(top_right), bottom_right)
         g = (g + adjoint(g)) / 2.0
-
-        def allowed(norm):
-            return GRAM_SELFCHECK_TOL * (1.0 + norm**2)
-
-        residual = g - self.matrix @ adjoint(self.matrix)
-        if not certified_within(residual, self.matrix, allowed):
-            bound = allowed(operator_norm(self.matrix))
-            dev = operator_norm(residual)
-            if dev > bound:
-                raise InternalConsistencyError(
-                    f"Gram block formula deviates from direct product by {dev:.3e} "
-                    f"(allowed {bound:.3e}); block algebra bug"
-                )
+        require_agreement(
+            g, self.matrix @ adjoint(self.matrix), self.matrix,
+            lambda norm: GRAM_SELFCHECK_TOL * (1.0 + norm**2),
+            "Gram block formula deviates from direct product",
+        )
         return g
 
     @cached_property
@@ -216,11 +208,6 @@ def build_foguel(v, t, require_isometry: bool = True) -> FoguelOperator:
             f"V is not an isometry: defect {defect:.3e} exceeds {ISOMETRY_TOL:.1e}"
         )
     return FoguelOperator(v=v, t=t, isometry_defect=defect)
-
-
-def gram(op: FoguelOperator) -> np.ndarray:
-    """Gram operator ``R R*`` of a Foguel operator (explicit block formula)."""
-    return op.gram
 
 
 def embed_corner(t, big_dim: int) -> np.ndarray:

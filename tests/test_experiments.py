@@ -133,6 +133,22 @@ def test_config_validation_errors():
         run_experiment(ExperimentConfig(experiment="verify-spectrum", fixture="golden"))
 
 
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
+def test_tol_scales_every_threshold(experiment):
+    # run_experiment is the one place where --tol scales a threshold, so a
+    # 4x base tolerance leaves every deviation alone and moves the slack
+    base_tol = EXPERIMENTS[experiment].base_tol
+    default = run_experiment(small_config(experiment, dim=3))
+    scaled = run_experiment(small_config(experiment, dim=3, tol=4.0 * base_tol))
+    assert default.passed and scaled.passed
+    for before, after in zip(default.records, scaled.records):
+        assert after.deviation == pytest.approx(before.deviation, rel=1e-12, abs=0.0)
+        if experiment == "shift-convergence":
+            assert after.slack == before.slack
+        else:
+            assert after.slack == pytest.approx(4.0 * base_tol - after.deviation, rel=1e-12)
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -300,6 +316,34 @@ def test_config_rejects_keys_owned_by_other_experiments(tmp_path, capsys, experi
         assert field in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tol", ["inf", "1e308", "5e-324"])
+def test_a_tol_whose_scale_is_out_of_range_exits_two(tmp_path, capsys, source, tol):
+    # tol / base_tol overflows to inf for the first two, which would fail every
+    # trial as non-finite; for 5e-324 it is subnormal, and the scaled 1e-12
+    # branch-product threshold underflows to 0, a division by zero
+    args = ["verify-spectrum", "--dim", "2", "--trials", "2"]
+    if source == "flag":
+        args += ["--tol", tol]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text('{"tol": %s}' % ("1e999" if tol == "inf" else tol))
+        args += ["--config", str(path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "usage error: tol " in err
+
+
+@pytest.mark.parametrize("dims, expected", [("2", 2), ("1,16", 2), ("3,8", 2), ("4,8", 0)])
+def test_shift_dims_must_hold_the_fixed_symbol(capsys, dims, expected):
+    # shift-convergence embeds a 4 x 4 symbol in every truncation dimension
+    code, _, err = run_cli(
+        ["shift-convergence", "--trials", "1", "--shift-dims", dims], capsys
+    )
+    assert code == expected
+    assert ("usage error: shift-dims" in err) == (expected == 2)
+
+
 def test_cli_shift_dims_flag(capsys):
     code, out, _ = run_cli(
         ["shift-convergence", "--trials", "1", "--shift-dims", "8,16"], capsys
@@ -323,7 +367,7 @@ def test_expected_numeric_error_becomes_failed_trial(monkeypatch, error, reason)
 
     from foguel.experiments import EXPERIMENTS
 
-    def explode(cfg, gen, base, scale):
+    def explode(cfg, gen, checks):
         raise error
 
     spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=explode)
@@ -343,7 +387,7 @@ def test_internal_consistency_error_exits_three(monkeypatch, capsys):
     from foguel.errors import InternalConsistencyError
     from foguel.experiments import EXPERIMENTS
 
-    def explode(cfg, gen, base, scale):
+    def explode(cfg, gen, checks):
         raise InternalConsistencyError("synthetic block-algebra bug")
 
     spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=explode)
@@ -358,7 +402,7 @@ def test_crash_exits_four_with_a_traceback(monkeypatch, capsys):
 
     from foguel.experiments import EXPERIMENTS
 
-    def explode(cfg, gen, base, scale):
+    def explode(cfg, gen, checks):
         raise TypeError("synthetic crash")
 
     spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=explode)
@@ -483,7 +527,7 @@ def test_checks_ratio_with_skips_equals_the_all_exact_ratio(data):
     order = data.draw(st.permutations(range(len(items))))
     scale = data.draw(st.sampled_from([1.0, 0.3, 7.0]))
 
-    skipping, exact = _Checks(scale), _Checks(scale)
+    skipping, exact = _Checks(scale, 1.0), _Checks(scale, 1.0)
     for i in order:
         item = items[i]
         if item[0] == "scalar":
@@ -559,7 +603,7 @@ def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
 def test_a_nan_ratio_is_binding_in_any_position(monkeypatch, ratios):
     from foguel import experiments
 
-    checks = experiments._Checks()
+    checks = experiments._Checks(1.0, 1.0)
     for name, ratio in zip("ab", ratios):
         checks.add(name, ratio, 1.0)
     assert np.isnan(checks.ratio())
@@ -573,13 +617,9 @@ def test_a_nan_ratio_is_binding_in_any_position(monkeypatch, ratios):
 def test_a_nan_after_a_finite_check_fails_the_trial(monkeypatch):
     import dataclasses
 
-    from foguel.experiments import _Checks, _outcome
-
-    def runner(cfg, gen, base, scale):
-        checks = _Checks(scale)
-        checks.add("finite", 0.0, base / scale)
-        checks.add("nan", float("nan"), base / scale)
-        return _outcome(checks, base)
+    def runner(cfg, gen, checks):
+        checks.add("finite", 0.0, checks.tol)
+        checks.add("nan", float("nan"), checks.tol)
 
     spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=runner)
     monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)
@@ -592,13 +632,9 @@ def test_a_nan_after_a_finite_check_fails_the_trial(monkeypatch):
 def test_a_non_finite_deviation_is_a_failed_trial_with_exit_one(monkeypatch, capsys, fmt, value):
     import dataclasses
 
-    from foguel.experiments import _Checks, _outcome
-
-    def runner(cfg, gen, base, scale):
-        checks = _Checks(scale)
-        checks.add("finite", 0.0, base / scale)
-        checks.add("non-finite", value, base / scale)
-        return _outcome(checks, base)
+    def runner(cfg, gen, checks):
+        checks.add("finite", 0.0, checks.tol)
+        checks.add("non-finite", value, checks.tol)
 
     spec = dataclasses.replace(EXPERIMENTS["verify-norm"], runner=runner)
     monkeypatch.setitem(EXPERIMENTS, "verify-norm", spec)

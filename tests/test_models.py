@@ -10,7 +10,6 @@ from foguel import (
     embed_corner,
     generalized_foguel,
     ginibre,
-    gram,
     haar_unitary,
     lift_foguel,
     neumann_eval,
@@ -127,19 +126,19 @@ def test_zero_symbol_norm_is_one():
 
 def test_gram_scalar_oracle():
     op = build_foguel([[1]], [[1]])
-    np.testing.assert_allclose(gram(op).real, [[2, 1], [1, 1]], atol=1e-15)
+    np.testing.assert_allclose(op.gram.real, [[2, 1], [1, 1]], atol=1e-15)
 
 
 def test_gram_zero_symbol_is_identity():
     v = haar_unitary(3, SeededGenerator(21))
     op = build_foguel(v, np.zeros((3, 3)))
-    np.testing.assert_allclose(gram(op), np.eye(6), atol=1e-14)
+    np.testing.assert_allclose(op.gram, np.eye(6), atol=1e-14)
 
 
 def test_gram_lower_right_block_identity_for_unitary():
     gen = SeededGenerator(22)
     op = build_foguel(haar_unitary(5, gen), ginibre(5, gen))
-    np.testing.assert_allclose(gram(op)[5:, 5:], np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(op.gram[5:, 5:], np.eye(5), atol=1e-12)
 
 
 def test_gram_matches_direct_product():
@@ -150,7 +149,7 @@ def test_gram_matches_direct_product():
         op = build_foguel(v, t)
         direct = op.matrix @ adjoint(op.matrix)
         scale = 1.0 + operator_norm(op.matrix) ** 2
-        assert operator_norm(gram(op) - direct) <= 1e-12 * scale
+        assert operator_norm(op.gram - direct) <= 1e-12 * scale
 
 
 def test_gram_self_check_catches_a_perturbed_corner(monkeypatch):

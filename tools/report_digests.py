@@ -11,10 +11,13 @@ The default sweep runs the nine subcommands at dims 3, 8 and 24 in both
 formats with seed 7 and 5 trials, each with its own deep-iteration flag
 (``--power-max 6 --poly-degree 5 --neumann-order 30 --shift-dims 8,16,32``),
 plus ``verify-power --dim 2 --trials 1 --power-max 2000``, which must stay
-one ``overflow`` trial.  ``--seed`` replaces the seed list, ``--dims`` the
-dimension list, and each ``--bench-seed N`` adds the three benchmark plans
-of ``perfbench/workloads.py`` at seed ``N`` (json-lines, as the benchmark
-runs them; the large plan takes several seconds).
+one ``overflow`` trial, and each subcommand at dims 3 and 8 with
+``--tol 3e-7`` (json-lines), which covers the scaling of every threshold
+by ``--tol``.  ``--seed`` replaces the seed list, ``--dims`` the dimension
+list (not that of the ``--tol`` runs), and each ``--bench-seed N`` adds
+the three benchmark plans of ``perfbench/workloads.py`` at seed ``N``
+(json-lines, as the benchmark runs them; the large plan takes several
+seconds).
 
 Each line reads ``<sha256> <exit code> <argv>``.  The script imports the
 package from the ``src`` directory next to it and pins BLAS to one thread,
@@ -46,6 +49,9 @@ DEEP_FLAGS = {
     "shift-convergence": ["--shift-dims", "8,16,32"],
 }
 
+#: A ``--tol`` away from every subcommand's default base tolerance.
+SCALED_TOL = "3e-7"
+
 
 def sweep(seeds, dims, bench_seeds) -> list:
     """Every argv of the sweep, without ``--out``."""
@@ -59,6 +65,13 @@ def sweep(seeds, dims, bench_seeds) -> list:
                          "--format", fmt, *DEEP_FLAGS.get(name, [])]
                     )
     runs.append(["verify-power", "--dim", "2", "--trials", "1", "--power-max", "2000"])
+    for seed in seeds:
+        for dim in (3, 8):
+            for name in EXPERIMENTS:
+                runs.append(
+                    [name, "--dim", str(dim), "--trials", "5", "--seed", str(seed),
+                     "--tol", SCALED_TOL, *DEEP_FLAGS.get(name, [])]
+                )
     if bench_seeds:
         import workloads
 
