@@ -12,6 +12,7 @@ norm bounds for ``p(R)``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,12 +194,23 @@ def compress_generalized(a, t) -> np.ndarray:
     return r
 
 
+def _power_index(n) -> int:
+    """``operator.index(n)``, at least 1; a bool, float or string raises :class:`ValidationError`."""
+    try:
+        index = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        index = None
+    if index is None:
+        raise ValidationError(f"power index must be an integer, got {n!r}")
+    if index < 1:
+        raise ValidationError(f"power index must be >= 1, got {index}")
+    return index
+
+
 def power_offdiag(a, t, n: int) -> np.ndarray:
     """Off-diagonal block ``sum_{j=0}^{n-1} (A*)^j T A^{n-1-j}`` of the n-th power."""
     a, t = require_pair(a, t, ("A", "T"))
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"power index must be >= 1, got {n}")
+    n = _power_index(n)
     a_star = adjoint(a)
     # accumulate via the recurrence D_{k+1} = A* D_k + T A^k, D_1 = T
     total = t.copy()
@@ -209,37 +221,55 @@ def power_offdiag(a, t, n: int) -> np.ndarray:
     return total
 
 
+def _shaped_like(m, r: np.ndarray, what: str):
+    """``m`` itself, once it is checked to have the shape of ``r``."""
+    if np.shape(m) != r.shape:
+        raise ValidationError(f"{what} must have shape {r.shape}, got {np.shape(m)}")
+    return m
+
+
 def _direct_or(direct, r: np.ndarray, evaluate) -> np.ndarray:
     """The caller's direct evaluation at ``R``, shape-checked, or ``evaluate(r)``."""
     if direct is None:
         return evaluate(r)
-    if np.shape(direct) != r.shape:
-        raise ValidationError(
-            f"direct evaluation must have shape {r.shape}, got {np.shape(direct)}"
-        )
-    return direct
+    return _shaped_like(direct, r, "direct evaluation")
 
 
-def foguel_power(a, t, n: int, direct=None) -> np.ndarray:
+def _power_step(a: np.ndarray, t: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """The block formula for ``R^n`` from that for ``R^(n-1)``, in two order-n products.
+
+    ``A^n = A^(n-1) A`` and ``D_n = A* D_(n-1) + T A^(n-1)``, the order in
+    which :func:`power_offdiag` runs the recurrence, so ``D_n`` is
+    bit-identical to it; the upper-left block is ``adjoint(A^n)``.
+    """
+    k = a.shape[0]
+    a_prev = previous[k:, k:]
+    a_pow = a_prev @ a
+    return block2(adjoint(a_pow), adjoint(a) @ previous[:k, k:] + t @ a_prev, None, a_pow)
+
+
+def foguel_power(a, t, n: int, direct=None, previous=None) -> np.ndarray:
     """n-th power of ``[[A*, T], [0, A]]`` from the explicit block formula.
 
-    Assembles ``[[(A*)^n, D_n], [0, A^n]]`` and self-checks it against
-    direct repeated multiplication, ``direct`` when the caller passes its
-    own product ``R^n`` of the assembled ``R``; a mismatch beyond
-    ``1e-9 * (1 + ||R||)^n`` is an internal-consistency error.
+    ``[[(A*)^n, D_n], [0, A^n]]`` is one :func:`_power_step` from
+    ``previous``, the block this function returned for ``n - 1`` and the
+    same ``(A, T)``, and ``n - 1`` steps from ``R`` itself without it.  The
+    block is self-checked against direct repeated multiplication,
+    ``direct`` when the caller passes its own product ``R^n`` of the
+    assembled ``R``; a mismatch beyond ``1e-9 * (1 + ||R||)^n`` is an
+    internal-consistency error.
     """
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"power index must be >= 1, got {n}")
+    n = _power_index(n)
     r = generalized_foguel(a, t)
     direct = _direct_or(direct, r, lambda r: np.linalg.matrix_power(r, n))
-    a = as_matrix(a)
-    block = block2(
-        np.linalg.matrix_power(adjoint(a), n),
-        power_offdiag(a, t, n),
-        None,
-        np.linalg.matrix_power(a, n),
-    )
+    a, t = as_matrix(a), as_matrix(t)
+    if previous is None:
+        block = r
+        for _ in range(n - 1):
+            block = _power_step(a, t, block)
+    else:
+        previous = np.asarray(_shaped_like(previous, r, "previous power"))
+        block = _power_step(a, t, previous)
 
     require_agreement(
         block, direct, r, lambda norm: POWER_SELFCHECK_TOL * (1.0 + norm) ** n,

@@ -285,10 +285,11 @@ def _run_verify_power(cfg: ExperimentConfig, gen, checks: _Checks):
     r = dil.generalized_foguel(v, t)
     t_norm = operator_norm(t)
     r_norm = operator_norm(r)
-    direct = np.eye(2 * cfg.dim, dtype=np.complex128)
+    direct, block = np.eye(2 * cfg.dim, dtype=np.complex128), None
     for n in range(1, cfg.power_max + 1):
+        # the two routes never meet: R^n multiplies R, the block formula steps its own block
         direct = direct @ r
-        block = dil.foguel_power(v, t, n, direct)
+        block = dil.foguel_power(v, t, n, direct, previous=block)
         checks.add_norm(f"power-formula-{n}", block - direct, (1.0 + r_norm) ** n, checks.tol)
         # the excess over the bound is 0.0 wherever the certificate holds
         bound = spectral.foguel_norm_closed(n * t_norm)

@@ -25,7 +25,7 @@ from foguel import (
 )
 import foguel.dilation as dil
 from foguel.errors import InternalConsistencyError
-from foguel.linalg import adjoint, norm_lower_bound
+from foguel.linalg import adjoint, block2, norm_lower_bound
 
 
 def svd_norm(m):
@@ -243,13 +243,52 @@ def test_foguel_power_overflows_exactly_where_the_exact_allowance_does():
 def test_power_self_check_catches_a_shifted_offdiagonal_block(monkeypatch):
     gen = SeededGenerator(49)
     v, t = haar_unitary(4, gen), ginibre(4, gen)
-    original = dil.power_offdiag
-    monkeypatch.setattr(
-        dil, "power_offdiag", lambda a, t, n: original(a, t, n) + 1e-6 * np.eye(4)
-    )
+    previous, original = foguel_power(v, t, 2), dil._power_step
+    shift = block2(None, 1e-6 * np.eye(4), None, None)
+    monkeypatch.setattr(dil, "_power_step", lambda a, t, prev: original(a, t, prev) + shift)
     # the residual is [[0, 1e-6 I], [0, 0]]: operator norm 1e-6, Frobenius 2e-6
     with pytest.raises(InternalConsistencyError, match=r"multiplication by 1\.000e-06 "):
-        foguel_power(v, t, 3)
+        foguel_power(v, t, 3, previous=previous)
+
+
+@pytest.mark.parametrize("index", [2.5, "3", True])
+@pytest.mark.parametrize("fn", [foguel_power, power_offdiag])
+def test_a_non_integral_power_index_is_rejected(fn, index):
+    with pytest.raises(ValidationError, match=f"power index must be an integer, got {index!r}"):
+        fn(np.eye(2), np.eye(2), index)
+
+
+def test_numpy_integer_power_indices_are_accepted():
+    a, t = np.eye(2), np.eye(2)
+    assert np.array_equal(foguel_power(a, t, np.int64(3)), foguel_power(a, t, 3))
+    assert np.array_equal(power_offdiag(a, t, np.int32(3)), power_offdiag(a, t, 3))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_carried_power_blocks_are_bit_identical(dim):
+    gen = SeededGenerator(54 + dim)
+    a, t = random_contraction(dim, gen), ginibre(dim, gen)
+    block = None
+    for n in range(1, 13):
+        block = foguel_power(a, t, n, previous=block)
+        assert np.array_equal(block[:dim, dim:], power_offdiag(a, t, n))
+        assert np.array_equal(block, foguel_power(a, t, n))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 4), (9, 9), (8,)])
+def test_a_wrong_shaped_previous_power_is_rejected(shape):
+    gen = SeededGenerator(58)
+    v, t = haar_unitary(4, gen), ginibre(4, gen)
+    with pytest.raises(ValidationError, match=r"previous power must have shape \(8, 8\)"):
+        foguel_power(v, t, 3, previous=np.zeros(shape))
+
+
+def test_power_self_check_guards_the_carried_path():
+    gen = SeededGenerator(59)
+    v, t = haar_unitary(4, gen), ginibre(4, gen)
+    previous = foguel_power(v, t, 2) + block2(None, 1e-6 * np.eye(4), None, None)
+    with pytest.raises(InternalConsistencyError, match="multiplication by"):
+        foguel_power(v, t, 3, previous=previous)
 
 
 # --- polynomial calculus -----------------------------------------------------

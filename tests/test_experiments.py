@@ -16,6 +16,7 @@ from foguel import (
     emit_report,
     run_experiment,
 )
+import foguel.dilation as dil
 from foguel.cli import main
 from foguel.linalg import adjoint
 
@@ -593,10 +594,31 @@ def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
         return original(m, n)
 
     monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    power, calls = dil.foguel_power, []
+    monkeypatch.setattr(dil, "foguel_power", lambda *a, **k: calls.append(1) or power(*a, **k))
     config = ExperimentConfig("verify-power", dim=6, power_max=10, trials=2, seed=11)
     assert run_experiment(config).passed
-    assert 6 in orders  # the diagonal blocks of the block formula
-    assert 12 not in orders
+    assert orders == []  # the block formula carries its diagonal blocks too
+    assert len(calls) == 10 * 2  # one foguel_power call per n and trial
+
+
+def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatch):
+    power, seen = dil.foguel_power, []
+
+    def recording(v, t, n, direct, previous):
+        block = power(v, t, n, direct, previous=previous)
+        seen.append((n, direct, previous, block))
+        return block
+
+    monkeypatch.setattr(dil, "foguel_power", recording)
+    config = ExperimentConfig("verify-power", dim=5, power_max=6, trials=2, seed=13)
+    assert run_experiment(config).passed
+    assert [n for n, *_ in seen] == [*range(1, 7)] * 2
+    before = None
+    for n, direct, previous, block in seen:
+        # each call gets the block the previous call returned, never R^n
+        assert previous is (None if n == 1 else before) and previous is not direct
+        before = block
 
 
 @pytest.mark.parametrize("ratios", [(0.0, float("nan")), (float("nan"), 0.0)])

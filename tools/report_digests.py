@@ -11,7 +11,9 @@ The default sweep runs the nine subcommands at dims 3, 8 and 24 in both
 formats with seed 7 and 5 trials, each with its own deep-iteration flag
 (``--power-max 6 --poly-degree 5 --neumann-order 30 --shift-dims 8,16,32``),
 plus ``verify-power --dim 2 --trials 1 --power-max 2000``, which must stay
-one ``overflow`` trial, and each subcommand at dims 3 and 8 with
+one ``overflow`` trial, ``verify-power --dim 8 --trials 3 --power-max 32``
+at each seed, which carries the block formula for ``R^n`` to ``n = 32``,
+and each subcommand at dims 3 and 8 with
 ``--tol 3e-7`` (json-lines), which covers the scaling of every threshold
 by ``--tol``.  ``--seed`` replaces the seed list, ``--dims`` the dimension
 list (not that of the ``--tol`` runs), and each ``--bench-seed N`` adds
@@ -65,6 +67,9 @@ def sweep(seeds, dims, bench_seeds) -> list:
                          "--format", fmt, *DEEP_FLAGS.get(name, [])]
                     )
     runs.append(["verify-power", "--dim", "2", "--trials", "1", "--power-max", "2000"])
+    for seed in seeds:
+        runs.append(["verify-power", "--dim", "8", "--trials", "3", "--seed", str(seed),
+                     "--power-max", "32"])
     for seed in seeds:
         for dim in (3, 8):
             for name in EXPERIMENTS:
