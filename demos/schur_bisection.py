@@ -31,17 +31,17 @@ print("=== Neumann series for the reduced kernel ===")
 gen = fg.SeededGenerator(202)
 v = fg.haar_unitary(4, gen)
 t = fg.ginibre(4, gen)
+op = fg.build_foguel(v, t)
 level = 1.6
 closed_form = (t @ t.conj().T) / (level**2 - 1.0)
 print(f"{'order':>6} {'truncation error':>18}")
 for order in (0, 2, 4, 8, 16, 32):
-    err = fg.operator_norm(fg.neumann_eval(v, t, level, order) - closed_form)
+    err = fg.operator_norm(fg.neumann_eval(op, level, order) - closed_form)
     print(f"{order:>6} {err:>18.3e}")
 print(f"(each extra order multiplies the error by 1/M^2 = {level**-2:.4f})")
 
 print()
 print("=== bisection vs eigenvalue norm ===")
-op = fg.build_foguel(v, t)
 result = fg.norm_by_bisection(op, fg.Tolerance(atol=1e-7))
 direct = fg.operator_norm(op.matrix)
 closed = fg.foguel_norm_closed(fg.operator_norm(t))

@@ -12,7 +12,6 @@ norm bounds for ``p(R)``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +26,7 @@ from .linalg import (
     operator_norm,
     require_agreement,
     require_contraction,
+    require_index,
     require_pair,
     require_square,
 )
@@ -194,23 +194,10 @@ def compress_generalized(a, t) -> np.ndarray:
     return r
 
 
-def _power_index(n) -> int:
-    """``operator.index(n)``, at least 1; a bool, float or string raises :class:`ValidationError`."""
-    try:
-        index = None if isinstance(n, bool) else operator.index(n)
-    except TypeError:
-        index = None
-    if index is None:
-        raise ValidationError(f"power index must be an integer, got {n!r}")
-    if index < 1:
-        raise ValidationError(f"power index must be >= 1, got {index}")
-    return index
-
-
 def power_offdiag(a, t, n: int) -> np.ndarray:
     """Off-diagonal block ``sum_{j=0}^{n-1} (A*)^j T A^{n-1-j}`` of the n-th power."""
     a, t = require_pair(a, t, ("A", "T"))
-    n = _power_index(n)
+    n = require_index(n, "power index", 1)
     a_star = adjoint(a)
     # accumulate via the recurrence D_{k+1} = A* D_k + T A^k, D_1 = T
     total = t.copy()
@@ -259,7 +246,7 @@ def foguel_power(a, t, n: int, direct=None, previous=None) -> np.ndarray:
     assembled ``R``; a mismatch beyond ``1e-9 * (1 + ||R||)^n`` is an
     internal-consistency error.
     """
-    n = _power_index(n)
+    n = require_index(n, "power index", 1)
     r = generalized_foguel(a, t)
     direct = _direct_or(direct, r, lambda r: np.linalg.matrix_power(r, n))
     a, t = as_matrix(a), as_matrix(t)

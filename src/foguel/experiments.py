@@ -367,7 +367,7 @@ def _run_verify_schur(cfg: ExperimentConfig, gen, checks: _Checks):
 
     # truncated series respects the geometric tail bound; for a unitary slot
     # the error saturates the bound exactly, so measure the excess over it
-    truncated = schur.neumann_eval(v, t, level, cfg.neumann_order)
+    truncated = schur.neumann_eval(op, level, cfg.neumann_order)
     tail = (
         t_norm**2
         * level ** (-2.0 * (cfg.neumann_order + 2))

@@ -12,6 +12,7 @@ safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,19 @@ def require_pair(a, t, names: tuple) -> tuple:
             f"got {a.shape} and {t.shape}"
         )
     return a, t
+
+
+def require_index(n, what: str, minimum: int) -> int:
+    """``operator.index(n)``, at least ``minimum``; a bool, float or string raises :class:`ValidationError`."""
+    try:
+        index = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        index = None
+    if index is None:
+        raise ValidationError(f"{what} must be an integer, got {n!r}")
+    if index < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {index}")
+    return index
 
 
 def block2(ul, ur, ll, lr) -> np.ndarray:

@@ -12,7 +12,6 @@ from foguel import (
     ginibre,
     haar_unitary,
     lift_foguel,
-    neumann_eval,
     operator_norm,
     power_offdiag,
     random_contraction,
@@ -108,9 +107,8 @@ def test_build_foguel_rejects_shape_mismatch():
         generalized_foguel,
         lift_foguel,
         lambda a, t: power_offdiag(a, t, 2),
-        lambda v, t: neumann_eval(v, t, 2.0, 3),
     ],
-    ids=["generalized_foguel", "lift_foguel", "power_offdiag", "neumann_eval"],
+    ids=["generalized_foguel", "lift_foguel", "power_offdiag"],
 )
 def test_pair_functions_reject_shape_mismatch(pair_function):
     # build_foguel's own case is test_build_foguel_rejects_shape_mismatch

@@ -205,22 +205,23 @@ def test_neumann_converges_to_closed_form():
     v, t = _unitary_pair(4, seed=64)
     level = np.sqrt(2.0)
     # (level^2 - 1)^{-1} = 1, so the limit is T T* itself
-    value = neumann_eval(v, t, level, 120)
+    value = neumann_eval(build_foguel(v, t), level, 120)
     np.testing.assert_allclose(value, t @ adjoint(t), atol=1e-12 * (1 + operator_norm(t) ** 2))
 
 
 def test_neumann_zeroth_order_unitary():
     v, t = _unitary_pair(3, seed=65)
-    value = neumann_eval(v, t, 2.0, 0)
+    value = neumann_eval(build_foguel(v, t), 2.0, 0)
     np.testing.assert_allclose(value, (t @ adjoint(t)) / 4.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("level", [1.5, 2.0, 4.0])
 def test_neumann_truncation_ratio(level):
     v, t = _unitary_pair(4, seed=66)
+    op = build_foguel(v, t)
     closed_form = (t @ adjoint(t)) / (level**2 - 1.0)
     errors = [
-        operator_norm(neumann_eval(v, t, level, k) - closed_form) for k in (2, 3, 4, 5)
+        operator_norm(neumann_eval(op, level, k) - closed_form) for k in (2, 3, 4, 5)
     ]
     for e_k, e_next in zip(errors, errors[1:]):
         ratio = e_next / e_k
@@ -240,7 +241,85 @@ def test_neumann_closed_form_identity():
 def test_neumann_rejects_divergent_level():
     v, t = _unitary_pair(2, seed=68)
     with pytest.raises(ValidationError, match="diverges"):
-        neumann_eval(v, t, 1.0, 5)
+        neumann_eval(build_foguel(v, t), 1.0, 5)
+
+
+def _neumann_loop(v, t, level, order):
+    """Reference: the Neumann series summed one term per product."""
+    projector = v @ adjoint(v)
+    ratio = level ** (-2)
+    term = projector.copy()  # (V V*)^{j+1} / level^{2j} at j = 0
+    kernel = term.copy()
+    for _ in range(order):
+        term = (projector @ term) * ratio
+        kernel = kernel + term
+    kernel = kernel * ratio
+    result = t @ kernel @ adjoint(t)
+    return (result + adjoint(result)) / 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_neumann_binary_splitting_matches_the_loop_at_every_order(dim):
+    # a strict contraction, so V V* has distinct eigenvalues below 1 and an
+    # off-by-one in the number of terms is visible at every order
+    gen = SeededGenerator(72 + dim)
+    g, t = ginibre(dim, gen), ginibre(dim, gen)
+    v = 0.95 * g / operator_norm(g)
+    op = build_foguel(v, t, require_isometry=False)
+    for order in range(34):  # every bit pattern of order + 1 through 6 bits
+        expected = _neumann_loop(v, t, 1.05, order)
+        value = neumann_eval(op, 1.05, order)
+        assert operator_norm(value - expected) <= 1e-13 * operator_norm(expected), order
+
+
+def test_neumann_matches_the_loop_and_the_closed_form_in_the_subnormal_regime():
+    # at level 14.7 the terms V (V V*)^j V* / level^{2j} pass through the
+    # subnormal range well before j = 400
+    v, t = _unitary_pair(8, seed=75)
+    level = 14.7
+    value = neumann_eval(build_foguel(v, t), level, 400)
+    scale = operator_norm(t) ** 2
+    assert operator_norm(value - _neumann_loop(v, t, level, 400)) <= 1e-13 * scale
+    closed_form = (t @ adjoint(t)) / (level**2 - 1.0)
+    assert operator_norm(value - closed_form) <= 1e-13 * scale
+
+
+def test_neumann_at_order_two_to_the_twenty_is_the_closed_form_limit():
+    v, t = _unitary_pair(3, seed=76)
+    level = 1.3
+    value = neumann_eval(build_foguel(v, t), level, 2**20)
+    closed_form = (t @ adjoint(t)) / (level**2 - 1.0)
+    assert operator_norm(value - closed_form) <= 1e-12 * operator_norm(closed_form)
+
+
+@pytest.mark.parametrize("order", [2.5, "3", True, None])
+def test_neumann_rejects_a_non_integral_order(order):
+    v, t = _unitary_pair(2, seed=77)
+    with pytest.raises(ValidationError, match=f"truncation order must be an integer, got {order!r}"):
+        neumann_eval(build_foguel(v, t), 2.0, order)
+
+
+def test_neumann_accepts_numpy_integer_orders_and_rejects_negative_ones():
+    op = build_foguel(*_unitary_pair(2, seed=78))
+    assert np.array_equal(neumann_eval(op, 2.0, np.int64(3)), neumann_eval(op, 2.0, 3))
+    with pytest.raises(ValidationError, match="truncation order must be >= 0, got -1"):
+        neumann_eval(op, 2.0, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op: neumann_eval(op, float("nan"), 3),
+        lambda op: foguel_positivity(op, float("nan")),
+        lambda op: scalar_criterion(1.0, float("nan")),
+        lambda op: scalar_criterion(float("nan"), 2.0),
+    ],
+    ids=["neumann_eval-level", "foguel_positivity-level", "scalar_criterion-level",
+         "scalar_criterion-symbol-norm"],
+)
+def test_a_nan_argument_is_rejected_as_bad_input(call):
+    with pytest.raises(ValidationError, match="nan"):
+        call(build_foguel([[1]], [[1]]))
 
 
 # --- scalar criterion ----------------------------------------------------------
