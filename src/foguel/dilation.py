@@ -87,9 +87,9 @@ class Polynomial:
             result = result @ m + c * eye
         return result
 
-    def boundary_sup(self, samples: int = BOUNDARY_SAMPLES) -> float:
-        """Max modulus over `samples` equispaced points of the unit circle."""
-        z = np.exp(2j * np.pi * np.arange(samples) / samples)
+    def boundary_sup(self) -> float:
+        """Max modulus over ``BOUNDARY_SAMPLES`` equispaced points of the unit circle."""
+        z = np.exp(2j * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES)
         return float(np.max(np.abs(self(z))))
 
 

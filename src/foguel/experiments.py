@@ -29,7 +29,14 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import Tolerance, adjoint, norm_certainly_below, operator_norm, solve_inverse
+from .linalg import (
+    Tolerance,
+    adjoint,
+    norm_unless_below,
+    operator_norm,
+    require_index,
+    solve_inverse,
+)
 
 DIM_CEILING = 512
 
@@ -69,12 +76,17 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(sorted(EXPERIMENTS))}"
             )
-        if not 1 <= self.dim <= DIM_CEILING:
-            raise ValidationError(f"dim must be in [1, {DIM_CEILING}], got {self.dim}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        ints = {
+            field: require_index(getattr(self, field), field.replace("_", "-"), minimum)
+            for field, minimum in (
+                ("dim", 1), ("trials", 1), ("seed", 0),
+                ("power_max", 1), ("poly_degree", 0), ("neumann_order", 0),
+            )
+        }
+        if ints["dim"] > DIM_CEILING:
+            raise ValidationError(f"dim must be in [1, {DIM_CEILING}], got {ints['dim']}")
+        if ints["seed"] >= 2**64:
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {ints['seed']}")
         base_tol = EXPERIMENTS[self.experiment].base_tol
         if self.tol is not None and not np.finfo(float).tiny <= self.tol / base_tol < math.inf:
             raise ValidationError(
@@ -85,13 +97,7 @@ class ExperimentConfig:
             raise ValidationError(
                 f"output format must be 'json-lines' or 'csv', got {self.output_format!r}"
             )
-        if self.power_max < 1:
-            raise ValidationError(f"power-max must be >= 1, got {self.power_max}")
-        if self.poly_degree < 0:
-            raise ValidationError(f"poly-degree must be >= 0, got {self.poly_degree}")
-        if self.neumann_order < 0:
-            raise ValidationError(f"neumann-order must be >= 0, got {self.neumann_order}")
-        dims = tuple(int(d) for d in self.shift_dims)
+        dims = tuple(require_index(d, "shift-dims entry", 0) for d in self.shift_dims)
         if not dims or any(not SHIFT_SYMBOL_DIM <= d <= DIM_CEILING for d in dims):
             raise ValidationError(
                 f"shift-dims must be nonempty with entries in "
@@ -101,7 +107,7 @@ class ExperimentConfig:
             raise ValidationError(f"unknown fixture {self.fixture!r}; only 'golden' exists")
         if self.fixture is not None and "fixture" not in EXPERIMENTS[self.experiment].flags:
             raise ValidationError(f"--fixture is not accepted by {self.experiment}")
-        return replace(self, shift_dims=dims, seed=int(self.seed))
+        return replace(self, shift_dims=dims, **ints)
 
     def base_tolerance(self) -> float:
         return self.tol if self.tol is not None else EXPERIMENTS[self.experiment].base_tol
@@ -160,22 +166,15 @@ class _Checks:
     def add_norm(self, name: str, x, divisor: float, threshold: float) -> None:
         """Add ``operator_norm(x) / divisor``, skipping the eigensolve when it cannot be the worst.
 
-        The check is settled without one, and ``ratio()`` is unchanged, when
-        ``2 ||x||_F`` (which bounds the computed ``||x||_2`` with room for
-        rounding; floored at 1e-150, below which the sum of squares may
-        underflow) or the Cholesky certificate puts its ratio at or below
-        the worst one so far.  NaN or inf falls through to the exact path,
-        which raises as before.
+        :func:`~foguel.linalg.norm_unless_below` settles the check without
+        one, leaving ``ratio()`` unchanged, when it certifies the ratio at
+        or below the worst one so far.  A NaN or inf worst certifies
+        nothing, so the exact path runs as before.
         """
-        if not x.any():  # the zero matrix, whose operator norm is exactly 0
-            return self.add(name, 0.0, threshold)
-        if self.worst is not None and self.worst < math.inf:
-            limit = self.worst * float(threshold) * self.scale
-            if 2.0 * max(float(np.linalg.norm(x)), 1e-150) / divisor <= limit:
-                return
-            if norm_certainly_below(x, limit * divisor):
-                return
-        self.add(name, operator_norm(x) / divisor, threshold)
+        limit = None if self.worst is None else self.worst * float(threshold) * self.scale * divisor
+        norm = norm_unless_below(x, limit)
+        if norm is not None:
+            self.add(name, norm / divisor, threshold)
 
     def ratio(self) -> float:
         return 0.0 if self.worst is None else self.worst
@@ -213,11 +212,11 @@ def _run_verify_spectrum(cfg: ExperimentConfig, gen, checks: _Checks):
     checks.add("branch-product", pair_dev, 1e-12)
 
 
-def _sample_gap_mu(symbol_eigs: np.ndarray, gen, max_draws: int = 1000) -> float:
+def _sample_gap_mu(symbol_eigs: np.ndarray, gen) -> float:
     """Uniform mu outside spec(T T*) with a healthy relative gap."""
     hi = float(symbol_eigs[-1]) * 1.25 + 1.0
     gap = max(spectral.SPECTRAL_GAP, 0.01 * (1.0 + float(symbol_eigs[-1])))
-    for _ in range(max_draws):
+    for _ in range(1000):
         mu = gen.uniform(0.0, hi)
         if np.min(np.abs(symbol_eigs - mu)) >= gap:
             return mu
@@ -291,14 +290,10 @@ def _run_verify_power(cfg: ExperimentConfig, gen, checks: _Checks):
         direct = direct @ r
         block = dil.foguel_power(v, t, n, direct, previous=block)
         checks.add_norm(f"power-formula-{n}", block - direct, (1.0 + r_norm) ** n, checks.tol)
-        # the excess over the bound is 0.0 wherever the certificate holds
+        # the excess over the bound is 0.0 wherever a certificate holds
         bound = spectral.foguel_norm_closed(n * t_norm)
-        if n == 1:
-            excess = max(0.0, r_norm - bound)
-        elif norm_certainly_below(direct, bound):
-            excess = 0.0
-        else:
-            excess = max(0.0, operator_norm(direct) - bound)
+        norm = r_norm if n == 1 else norm_unless_below(direct, bound)
+        excess = 0.0 if norm is None else max(0.0, norm - bound)
         checks.add(f"power-bound-{n}", excess, 10.0 * checks.tol)
 
 

@@ -114,29 +114,30 @@ def block2(ul, ur, ll, lr) -> np.ndarray:
     return out
 
 
-def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
     The returned matrix is ``(m + m*)/2``, which is exactly Hermitian in
     floating point; validation happens before symmetrization so that a
-    genuinely asymmetric input is rejected, naming its worst entry.
+    genuinely asymmetric input is rejected, naming its worst entry, when
+    that exceeds ``HERMITIAN_ATOL``.
     """
     m = require_square(m, "hermitian matrix")
     asym = max_asymmetry(m)
-    if asym > atol:
+    if asym > HERMITIAN_ATOL:
         raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.1e}"
         )
     return (m + adjoint(m)) / 2.0
 
 
-def hermitian_eigs(m, *, atol: float = HERMITIAN_ATOL):
+def hermitian_eigs(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     m : array_like
-        Square Hermitian matrix (validated to ``atol`` max asymmetry).
+        Square Hermitian matrix (validated to ``HERMITIAN_ATOL`` max asymmetry).
 
     Returns
     -------
@@ -146,7 +147,7 @@ def hermitian_eigs(m, *, atol: float = HERMITIAN_ATOL):
         Orthonormal eigenvectors, column ``u[:, i]`` belonging to ``w[i]``,
         so that ``m = u @ diag(w) @ u*``.
     """
-    h = require_hermitian(m, atol)
+    h = require_hermitian(m)
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -154,10 +155,9 @@ def hermitian_eigs(m, *, atol: float = HERMITIAN_ATOL):
     return w, u
 
 
-def hermitian_eigvals(m, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigvals(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    h = require_hermitian(m, atol)
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(require_hermitian(m))
 
 
 def operator_norm(m) -> float:
@@ -175,43 +175,6 @@ def operator_norm(m) -> float:
 def norm_lower_bound(m) -> float:
     """Largest column 2-norm of ``m``, a lower bound on ``||m||`` as ``||m e_j|| <= ||m||``."""
     return float(np.max(np.linalg.norm(m, axis=0)))
-
-
-def certified_within(x, m, allowed) -> bool:
-    """True only when ``operator_norm(x) <= allowed(operator_norm(m))`` is certain.
-
-    Decided in O(n^2) without an eigensolve, for a non-decreasing
-    ``allowed``: ``||x||_2 <= ||x||_F <= allowed(norm_lower_bound(m)) / 2``,
-    where the factor 2 absorbs the rounding of both sides.  False decides
-    nothing and the caller runs its exact check.  It is also the answer when
-    ``allowed`` is not finite at ``2 ||m||_F``, an upper bound on ``||m||``
-    with room for rounding, so an allowance that overflows in the exact
-    check still raises its ``OverflowError`` there.
-    """
-    try:
-        ceiling = allowed(2.0 * float(np.linalg.norm(m)))
-    except OverflowError:
-        return False
-    return bool(
-        ceiling < math.inf and np.linalg.norm(x) <= allowed(norm_lower_bound(m)) / 2.0
-    )
-
-
-def require_agreement(formula, direct, m, allowed, what: str) -> None:
-    """Raise unless ``||formula - direct|| <= allowed(||m||)``: the block-formula self-check.
-
-    :func:`certified_within` accepts without an eigensolve when it can;
-    otherwise both operator norms are computed exactly and a mismatch
-    raises :class:`InternalConsistencyError` reading ``"<what> by <dev>
-    (allowed <bound>)"``.
-    """
-    residual = formula - direct
-    if certified_within(residual, m, allowed):
-        return
-    bound = allowed(operator_norm(m))
-    dev = operator_norm(residual)
-    if dev > bound:
-        raise InternalConsistencyError(f"{what} by {dev:.3e} (allowed {bound:.3e})")
 
 
 def _cholesky_succeeds(a) -> bool:
@@ -237,6 +200,46 @@ def norm_certainly_below(m, bound) -> bool:
     if not 1e-150 < level < 1e150:
         return False
     return _cholesky_succeeds(level * level * np.eye(m.shape[0]) - m @ adjoint(m))
+
+
+def norm_unless_below(x, limit) -> float | None:
+    """``operator_norm(x)``, or None when ``operator_norm(x) <= limit`` is certain without it.
+
+    Certain when ``2 ||x||_F <= limit`` (the factor 2 bounds the computed
+    ``||x||_2`` with room for rounding; ``||x||_F`` is floored at 1e-150,
+    below which its sum of squares may underflow) or when
+    :func:`norm_certainly_below` holds.  A limit of None, NaN or inf
+    certifies nothing.  A zero ``x`` that is not certified is ``0.0``
+    without an eigensolve.
+    """
+    if limit is not None and limit < math.inf:
+        if 2.0 * max(float(np.linalg.norm(x)), 1e-150) <= limit or norm_certainly_below(x, limit):
+            return None
+    return operator_norm(x) if x.any() else 0.0
+
+
+def require_agreement(formula, direct, m, allowed, what: str) -> None:
+    """Raise unless ``||formula - direct|| <= allowed(||m||)``: the block-formula self-check.
+
+    For a non-decreasing ``allowed``, :func:`norm_unless_below` accepts
+    without an eigensolve when it certifies the residual below
+    ``allowed(norm_lower_bound(m))``; otherwise both operator norms are
+    computed exactly and a mismatch raises :class:`InternalConsistencyError`
+    reading ``"<what> by <dev> (allowed <bound>)"``.  Nothing is certified
+    when ``allowed`` is not finite at ``2 ||m||_F``, an upper bound on
+    ``||m||`` with room for rounding, so an allowance that overflows in the
+    exact check still raises its ``OverflowError`` there.
+    """
+    try:
+        finite = allowed(2.0 * float(np.linalg.norm(m))) < math.inf
+    except OverflowError:
+        finite = False
+    dev = norm_unless_below(formula - direct, allowed(norm_lower_bound(m)) if finite else None)
+    if dev is None:
+        return
+    bound = allowed(operator_norm(m))
+    if dev > bound:
+        raise InternalConsistencyError(f"{what} by {dev:.3e} (allowed {bound:.3e})")
 
 
 def psd_verdict(h, shift) -> bool | None:
@@ -286,80 +289,75 @@ def psd_verdict(h, shift) -> bool | None:
     return None
 
 
-def require_contraction(m, name: str = "matrix", tol: float = CONTRACTION_TOL) -> float:
-    """Return ``||m||``, raising :class:`ValidationError` when it exceeds ``1 + tol``."""
+def require_contraction(m, name: str = "matrix") -> float:
+    """Return ``||m||``; :class:`ValidationError` when it exceeds ``1 + CONTRACTION_TOL``."""
     norm = operator_norm(m)
-    if norm > 1.0 + tol:
+    if norm > 1.0 + CONTRACTION_TOL:
         raise ValidationError(
-            f"{name} must be a contraction, got operator norm {norm:.12g} > 1 + {tol:.1e}"
+            f"{name} must be a contraction, got operator norm {norm:.12g} "
+            f"> 1 + {CONTRACTION_TOL:.1e}"
         )
     return norm
 
 
-def psd_sqrt(p, *, floor: float = PSD_FLOOR) -> np.ndarray:
+def psd_sqrt(p) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[floor, 0)`` are clamped to zero; an eigenvalue below
-    ``floor`` raises :class:`NotPositiveSemidefiniteError` naming it.  The
+    Eigenvalues in ``[PSD_FLOOR, 0)`` are clamped to zero; an eigenvalue below
+    ``PSD_FLOOR`` raises :class:`NotPositiveSemidefiniteError` naming it.  The
     result ``s`` is exactly Hermitian and satisfies ``s @ s == p`` up to
     ``1e-9 * (1 + ||p||)``.
     """
     w, u = hermitian_eigs(p)
     wmin = float(w[0])
-    if wmin < floor:
+    if wmin < PSD_FLOOR:
         raise NotPositiveSemidefiniteError(
-            f"matrix is not PSD: min eigenvalue {wmin:.3e} below floor {floor:.1e}",
+            f"matrix is not PSD: min eigenvalue {wmin:.3e} below floor {PSD_FLOOR:.1e}",
             min_eigenvalue=wmin,
         )
     s = (u * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(u)
     return (s + adjoint(s)) / 2.0
 
 
-def reciprocal_condition(m) -> float:
-    """sigma_min / sigma_max of ``m``; 0.0 for the zero matrix."""
-    s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    smax = float(s[0])
-    if smax == 0.0:
-        return 0.0
-    return float(s[-1]) / smax
+def require_conditioned(magnitudes, what: str) -> None:
+    """Refuse a matrix whose reciprocal condition number is below ``RCOND_FLOOR``.
 
-
-def solve_inverse(m, *, rcond_floor: float = RCOND_FLOOR) -> np.ndarray:
-    """Two-sided inverse of a square matrix.
-
-    Refuses matrices whose reciprocal condition estimate falls below
-    ``rcond_floor``; callers treat that error as "the shift is too close to
-    the spectrum" when inverting resolvent-type operators.
+    ``magnitudes`` are its singular values, or the moduli of its eigenvalues
+    when it is Hermitian; the reciprocal condition number is their
+    ``min / max``, and 0.0 when all are zero.  A refusal raises
+    :class:`SingularMatrixError` naming ``what`` and carrying that ``rcond``.
     """
-    m = require_square(m)
-    rcond = reciprocal_condition(m)
-    if rcond < rcond_floor:
+    top = float(np.max(magnitudes))
+    rcond = float(np.min(magnitudes)) / top if top > 0.0 else 0.0
+    if rcond < RCOND_FLOOR:
         raise SingularMatrixError(
-            f"matrix is singular to working precision "
-            f"(rcond={rcond:.3e} < {rcond_floor:.1e})",
+            f"{what} is singular to working precision "
+            f"(rcond={rcond:.3e} < {RCOND_FLOOR:.1e})",
             rcond=rcond,
         )
+
+
+def solve_inverse(m) -> np.ndarray:
+    """Two-sided inverse of a square matrix.
+
+    Refused by :func:`require_conditioned` on its singular values; callers
+    treat that error as "the shift is too close to the spectrum" when
+    inverting resolvent-type operators.
+    """
+    m = require_square(m)
+    require_conditioned(np.linalg.svd(m, compute_uv=False), "matrix")
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=np.complex128))
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair; at least one must be positive."""
+    """A positive, finite absolute tolerance."""
 
-    atol: float = 0.0
-    rtol: float = 0.0
+    atol: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.atol) and np.isfinite(self.rtol)):
-            raise ValidationError("tolerances must be finite")
-        if self.atol < 0 or self.rtol < 0:
-            raise ValidationError("tolerances must be non-negative")
-        if self.atol == 0 and self.rtol == 0:
-            raise ValidationError("at least one tolerance must be positive")
-
-    def bound(self, scale: float) -> float:
-        """Admissible deviation for a quantity of magnitude ``scale``."""
-        return self.atol + self.rtol * abs(scale)
+        if not 0.0 < self.atol < math.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.atol}")
 
 
 @dataclass(frozen=True)
@@ -368,7 +366,6 @@ class MultisetComparison:
 
     matched: bool
     max_deviation: float
-    worst_index: int
 
 
 def multiset_match(a, b, tol: Tolerance) -> MultisetComparison:
@@ -376,7 +373,7 @@ def multiset_match(a, b, tol: Tolerance) -> MultisetComparison:
 
     Both inputs are sorted ascending and compared elementwise, which is the
     canonical matching for real spectra.  Element ``i`` matches when
-    ``|a_i - b_i| <= tol.atol + tol.rtol * max(|a_i|, |b_i|)``.
+    ``|a_i - b_i| <= tol.atol``.
 
     Raises
     ------
@@ -391,10 +388,7 @@ def multiset_match(a, b, tol: Tolerance) -> MultisetComparison:
             f"multiset length mismatch: {a.shape[0]} vs {b.shape[0]}"
         )
     dev = np.abs(a - b)
-    allowed = tol.atol + tol.rtol * np.maximum(np.abs(a), np.abs(b))
-    worst = int(np.argmax(dev - allowed)) if dev.size else 0
     return MultisetComparison(
-        matched=bool(np.all(dev <= allowed)),
+        matched=bool(np.all(dev <= tol.atol)),
         max_deviation=float(dev.max(initial=0.0)),
-        worst_index=worst,
     )

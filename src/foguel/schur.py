@@ -15,20 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    NotPositiveSemidefiniteError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import InternalConsistencyError, NotPositiveSemidefiniteError, ValidationError
 from .linalg import (
-    RCOND_FLOOR,
     Tolerance,
     adjoint,
     hermitian_eigs,
     hermitian_eigvals,
     operator_norm,
     psd_verdict,
+    require_conditioned,
     require_hermitian,
     require_index,
     require_square,
@@ -45,44 +40,38 @@ LEVEL_MARGIN = 1e-12
 MAX_BISECTION_ITERATIONS = 60
 
 
-def _complement(p, y, d, floor: float) -> np.ndarray:
+def _complement(p, y, d) -> np.ndarray:
     """Schur complement ``P - X Q^{-1} X*`` from the eigenpairs ``Q = U diag(d) U*``.
 
     Takes ``y = X U``, so the complement is ``P - Y diag(1/d) Y*``.  ``Q``
-    is refused as :func:`solve_inverse` would refuse it: its minimum
-    eigenvalue must reach ``floor`` and its reciprocal condition number
-    ``min|d| / max|d|`` must reach ``RCOND_FLOOR``.
+    is refused unless its minimum eigenvalue reaches
+    ``POSITIVE_DEFINITE_FLOOR`` and :func:`~foguel.linalg.require_conditioned`
+    accepts ``|d|``.
     """
     q_min = float(np.min(d))
-    if q_min < floor:
+    if q_min < POSITIVE_DEFINITE_FLOOR:
         raise NotPositiveSemidefiniteError(
             f"lower-right block is not positive definite: min eigenvalue "
-            f"{q_min:.3e} below {floor:.1e}",
+            f"{q_min:.3e} below {POSITIVE_DEFINITE_FLOOR:.1e}",
             min_eigenvalue=q_min,
         )
-    magnitudes = np.abs(d)
-    rcond = float(magnitudes.min() / magnitudes.max()) if magnitudes.max() > 0 else 0.0
-    if rcond < RCOND_FLOOR:
-        raise SingularMatrixError(
-            f"lower-right block is singular to working precision "
-            f"(rcond={rcond:.3e} < {RCOND_FLOOR:.1e})",
-            rcond=rcond,
-        )
+    require_conditioned(np.abs(d), "lower-right block")
     complement = p - (y / d) @ adjoint(y)
     return (complement + adjoint(complement)) / 2.0
 
 
-def schur_complement(p, x, q, *, floor: float = POSITIVE_DEFINITE_FLOOR) -> np.ndarray:
+def schur_complement(p, x, q) -> np.ndarray:
     """Schur complement ``P - X Q^{-1} X*`` of ``[[P, X], [X*, Q]]``.
 
-    ``Q`` must be Hermitian positive definite (min eigenvalue >= ``floor``);
+    ``Q`` must be Hermitian positive definite (min eigenvalue >=
+    ``POSITIVE_DEFINITE_FLOOR``);
     then the block matrix is PSD if and only if the complement is.  ``Q^{-1}``
     is applied through the eigendecomposition of ``Q``.
     """
     p = require_hermitian(p)
     x = require_square(x, "X")
     w, u = hermitian_eigs(q)
-    return _complement(p, x @ u, w, floor)
+    return _complement(p, x @ u, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +94,7 @@ class PositivityCertificate:
         return float(hermitian_eigvals(self.reduced_matrix)[0])
 
 
-def foguel_positivity(
-    op: FoguelOperator, level: float, *, tol_abs: float | None = None
-) -> PositivityCertificate:
+def foguel_positivity(op: FoguelOperator, level: float) -> PositivityCertificate:
     """Test ``level^2 I - R R* >= 0`` by Schur reduction to the symbol side.
 
     The reduced matrix is
@@ -122,8 +109,8 @@ def foguel_positivity(
     eigensolve runs only when that certificate cannot decide or disagrees
     with the direct route, so the verdict is always the exact one.
 
-    PSD is declared when the minimum eigenvalue is at least ``-tol_abs``
-    with default ``1e-10 * (1 + level^2)``; an exact zero crossing at
+    PSD is declared when the minimum eigenvalue is at least ``-threshold``
+    for ``threshold = 1e-10 * (1 + level^2)``; an exact zero crossing at
     ``level = ||R||`` makes a signed band unavoidable.
     """
     level = float(level)
@@ -132,25 +119,24 @@ def foguel_positivity(
             f"positivity level must exceed 1 (the norm is never below 1), got {level}"
         )
     op.v_contraction_norm  # raises ValidationError unless V is a contraction
-    if tol_abs is None:
-        tol_abs = 1e-10 * (1.0 + level * level)
+    threshold = 1e-10 * (1.0 + level * level)
 
     # level-independent data is cached on op: with V V* = U diag(w) U*, the
     # lower-right block level^2 I - V V* has eigenpairs (level^2 - w, U)
     level_sq = level**2
     w, _ = op.vv_eigs
     upper = level_sq * np.eye(op.dim, dtype=np.complex128) - op.gram_corner
-    reduced = _complement(upper, op.coupling, level_sq - w, POSITIVE_DEFINITE_FLOOR)
+    reduced = _complement(upper, op.coupling, level_sq - w)
     # direct route: eig(level^2 I - G) = level^2 - eig(G), read from an
     # eigensolve of the 2n x 2n Gram operator, never from the reduced matrix
     direct_min = level_sq - float(op.gram_eigvals[-1])
-    verdict_direct = direct_min >= -tol_abs
+    verdict_direct = direct_min >= -threshold
 
-    positive = psd_verdict(reduced, tol_abs)
+    positive = psd_verdict(reduced, threshold)
     if positive != verdict_direct:  # undecided, or a disagreement to judge exactly
         reduced_min = float(hermitian_eigvals(reduced)[0])
-        positive = reduced_min >= -tol_abs
-        if positive != verdict_direct and min(abs(reduced_min), abs(direct_min)) > tol_abs:
+        positive = reduced_min >= -threshold
+        if positive != verdict_direct and min(abs(reduced_min), abs(direct_min)) > threshold:
             raise InternalConsistencyError(
                 f"reduced and direct positivity verdicts disagree at "
                 f"level={level!r}: reduced min eig {reduced_min:.3e}, "
@@ -163,7 +149,7 @@ def foguel_positivity(
         reduced_matrix=reduced,
         positive=positive,
         direct_min_eigenvalue=direct_min,
-        threshold=tol_abs,
+        threshold=threshold,
     )
 
 
@@ -240,7 +226,6 @@ def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
     norm; a violated bracket invariant raises
     :class:`InternalConsistencyError`.
     """
-    width_target = tol.atol if tol.atol > 0 else tol.rtol
     t_norm = op.symbol_norm
     closed = foguel_norm_closed(t_norm)
     if t_norm == 0.0 or closed - 1.0 < 1e-12:
@@ -262,7 +247,7 @@ def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
         )
 
     iterations = 0
-    while upper - lower > width_target and iterations < MAX_BISECTION_ITERATIONS:
+    while upper - lower > tol.atol and iterations < MAX_BISECTION_ITERATIONS:
         mid = (upper + lower) / 2.0
         if foguel_positivity(op, mid).positive:
             upper = mid

@@ -151,37 +151,31 @@ class ResolventBlocks:
         return block2(self.a, self.x, adjoint(self.x), self.b)
 
 
-def resolvent_blocks(
-    op: FoguelOperator,
-    lam: float,
-    *,
-    exclusion: float = LAMBDA_EXCLUSION,
-    spectral_gap: float = SPECTRAL_GAP,
-) -> ResolventBlocks:
+def resolvent_blocks(op: FoguelOperator, lam: float) -> ResolventBlocks:
     """Explicit blocks of ``(R R* - lam I)^{-1}`` for unitary ``V``.
 
     The diagonal block is
     ``A = ((lam - 1)/lam) * (T T* - mu I)^{-1}`` with ``mu = forward_map(lam)``,
     then ``X = A T V* / (lam - 1)`` and ``B = (V T* X - V V*) / (lam - 1)``.
-    ``lam`` must stay ``exclusion`` away from the excluded points {0, 1} and
-    ``mu`` at least ``spectral_gap`` away from ``spec(T T*)``.
+    ``lam`` must stay ``LAMBDA_EXCLUSION`` away from the excluded points
+    {0, 1} and ``mu`` at least ``SPECTRAL_GAP`` away from ``spec(T T*)``.
     """
     _require_unitary_slot(op, "resolvent construction")
     lam = float(lam)
-    if lam < exclusion or abs(lam - 1.0) < exclusion:
+    if lam < LAMBDA_EXCLUSION or abs(lam - 1.0) < LAMBDA_EXCLUSION:
         raise ValidationError(
             f"lam={lam} is inside the excluded band around 0 or 1 "
-            f"(half-width {exclusion:.1e})"
+            f"(half-width {LAMBDA_EXCLUSION:.1e})"
         )
     mu = forward_map(lam)
 
     v, t = op.v, op.t
     symbol_gram = (t @ adjoint(t) + adjoint(t @ adjoint(t))) / 2.0
     gap = float(np.min(np.abs(hermitian_eigvals(symbol_gram) - mu)))
-    if gap < spectral_gap:
+    if gap < SPECTRAL_GAP:
         raise SingularMatrixError(
             f"mapped eigenvalue mu={mu:.6g} lies {gap:.3e} from spec(T T*), "
-            f"closer than the required gap {spectral_gap:.1e}",
+            f"closer than the required gap {SPECTRAL_GAP:.1e}",
             rcond=gap,
         )
 
@@ -218,7 +212,7 @@ def foguel_gram_inverse(op: FoguelOperator) -> np.ndarray:
     return (g_inv + adjoint(g_inv)) / 2.0
 
 
-def gram_minus_identity_inverse(op: FoguelOperator, *, rcond_floor: float = 1e-12) -> np.ndarray:
+def gram_minus_identity_inverse(op: FoguelOperator) -> np.ndarray:
     """Block inverse ``[[0, X], [X*, -I]]`` of ``R R* - I`` with ``X = (T^{-1})* V*``.
 
     ``R R* - I`` is invertible exactly when the symbol ``T`` is, so a
@@ -227,7 +221,7 @@ def gram_minus_identity_inverse(op: FoguelOperator, *, rcond_floor: float = 1e-1
     """
     _require_unitary_slot(op, "Gram-minus-identity inverse")
     try:
-        t_inv = solve_inverse(op.t, rcond_floor=rcond_floor)
+        t_inv = solve_inverse(op.t)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"R R* - I is invertible only for invertible T: {exc}",

@@ -134,6 +134,34 @@ def test_config_validation_errors():
         run_experiment(ExperimentConfig(experiment="verify-spectrum", fixture="golden"))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", 2.5),
+        ("dim", "4"),
+        ("trials", True),
+        ("trials", 2.7),
+        ("seed", 3.9),
+        ("power_max", 2.5),
+        ("poly_degree", 1.5),
+        ("neumann_order", 2.5),
+        ("shift_dims", (16.9, 32)),
+    ],
+)
+def test_config_integer_fields_reject_non_integers(field, value):
+    kwargs = dict(experiment="verify-norm", dim=2, trials=1)
+    kwargs[field] = value
+    with pytest.raises(ValidationError, match="must be an integer"):
+        run_experiment(ExperimentConfig(**kwargs))
+
+
+def test_config_integer_fields_store_plain_ints():
+    config = ExperimentConfig(experiment="verify-norm", dim=np.int64(3), trials=np.int64(2))
+    report = run_experiment(config)
+    assert type(report.config.dim) is int and type(report.config.trials) is int
+    assert json.loads(emit_report(report).splitlines()[-1])["config"]["dim"] == 3
+
+
 @pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
 def test_tol_scales_every_threshold(experiment):
     # run_experiment is the one place where --tol scales a threshold, so a
@@ -464,25 +492,24 @@ def test_reported_checks_run_few_eigensolves_of_order_2n(monkeypatch, experiment
 
 @pytest.mark.parametrize("power_max", [6, 32])
 def test_certified_skips_leave_report_bytes_unchanged(monkeypatch, power_max):
-    from foguel import experiments
-    from foguel.linalg import operator_norm
+    from foguel import experiments, linalg
 
+    # every experiment that reaches norm_unless_below, directly or through
+    # the block self-checks of require_agreement
     configs = [
         ExperimentConfig(experiment, dim=dim, trials=3, seed=seed, power_max=power_max)
-        for experiment in ("verify-power", "verify-inverses")
+        for experiment in ("verify-power", "verify-inverses", "verify-spectrum",
+                           "verify-resolvent", "verify-polynomial", "verify-schur")
         for dim in (1, 2, 3, 8, 24)
         for seed in (0, 7, 2024)
     ]
     reports = [run_experiment(c) for c in configs]
     certified = [emit_report(r, fmt) for r in reports for fmt in ("json-lines", "csv")]
 
-    def add_norm(self, name, x, divisor, threshold):
-        self.add(name, operator_norm(x) / divisor, threshold)
-
-    # both certificates decline, so every check runs its exact norm
+    # the certificate never certifies, so every check runs its exact norm
     with monkeypatch.context() as patch:
-        patch.setattr(experiments._Checks, "add_norm", add_norm)
-        patch.setattr(experiments, "norm_certainly_below", lambda m, bound: False)
+        for module in (linalg, experiments):
+            patch.setattr(module, "norm_unless_below", lambda x, limit: linalg.operator_norm(x))
         reports = [run_experiment(c) for c in configs]
         exact = [emit_report(r, fmt) for r in reports for fmt in ("json-lines", "csv")]
     assert certified == exact
@@ -623,7 +650,7 @@ def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatc
 
 @pytest.mark.parametrize("ratios", [(0.0, float("nan")), (float("nan"), 0.0)])
 def test_a_nan_ratio_is_binding_in_any_position(monkeypatch, ratios):
-    from foguel import experiments
+    from foguel import experiments, linalg
 
     checks = experiments._Checks(1.0, 1.0)
     for name, ratio in zip("ab", ratios):
@@ -631,7 +658,7 @@ def test_a_nan_ratio_is_binding_in_any_position(monkeypatch, ratios):
     assert np.isnan(checks.ratio())
     # after a NaN, add_norm runs its exact norm and the ratio stays NaN
     exact = []
-    monkeypatch.setattr(experiments, "operator_norm", lambda x: exact.append(x) or 1e-300)
+    monkeypatch.setattr(linalg, "operator_norm", lambda x: exact.append(x) or 1e-300)
     checks.add_norm("c", np.eye(2), 1.0, 1.0)
     assert len(exact) == 1 and np.isnan(checks.ratio())
 

@@ -21,10 +21,11 @@ from foguel.errors import NotPositiveSemidefiniteError
 from foguel.linalg import (
     PSD_VERDICT_MARGIN,
     adjoint,
-    certified_within,
     norm_certainly_below,
     norm_lower_bound,
+    norm_unless_below,
     psd_verdict,
+    require_agreement,
 )
 
 
@@ -216,37 +217,54 @@ def test_norm_lower_bound_never_exceeds_operator_norm(seed, dim, extremal, log_s
     st.integers(0, 2**32 - 1),
     st.integers(1, 8),
     st.booleans(),
-    st.integers(0, 12),
     st.floats(0.25, 4.0),
     st.floats(-8.0, 8.0),
 )
 @settings(deadline=None, max_examples=300)
-def test_certified_within_implies_exact_bound(seed, dim, extremal, power, margin, log_scale):
-    x, m = _matrix_draw(seed, dim, extremal)
+def test_norm_unless_below_certifies_only_a_true_bound(seed, dim, extremal, margin, log_scale):
+    x, _ = _matrix_draw(seed, dim, extremal)
     x = x * 10.0**log_scale
-    # an allowance at the acceptance threshold when margin == 1
-    coeff = margin * 2.0 * np.linalg.norm(x) / (1.0 + norm_lower_bound(m)) ** power
+    exact = operator_norm(x)
+    # a limit at the Frobenius acceptance threshold when margin == 1
+    limit = margin * 2.0 * np.linalg.norm(x)
+    norm = norm_unless_below(x, limit)
+    if norm is None:
+        assert exact <= limit
+    else:
+        assert norm == exact
+    if margin >= 1.0:
+        assert norm is None
+    # a limit just below the norm is never certified, rank one included
+    assert norm_unless_below(x, exact * (1.0 - 1e-6)) == exact
 
-    def allowed(norm):
-        return coeff * (1.0 + norm) ** power
 
-    if certified_within(x, m, allowed):
-        assert operator_norm(x) <= allowed(operator_norm(m))
-    if margin <= 0.99:
-        assert not certified_within(x, m, allowed)
+def test_norm_unless_below_certifies_nothing_without_a_finite_limit():
+    m = np.diag([2.0, 1.0]).astype(np.complex128)
+    for limit in (None, np.nan, np.inf):
+        assert norm_unless_below(m, limit) == 2.0
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    assert norm_unless_below(zero, None) == 0.0
+    # a zero residual under a finite limit is certified, with no 0.0 to compare
+    assert norm_unless_below(zero, 1.0) is None
 
 
-def test_certified_within_leaves_overflowing_allowances_to_the_exact_check():
-    x, m = np.zeros((2, 2)), np.diag([2.0, 1.0])
+def test_require_agreement_leaves_overflowing_allowances_to_the_exact_check(monkeypatch):
+    from foguel import linalg
+
+    formula, direct, m = 1e-3 * np.eye(2), np.zeros((2, 2)), np.diag([2.0, 1.0])
+    exact, operator_norm = [], linalg.operator_norm
+    monkeypatch.setattr(linalg, "operator_norm", lambda a: exact.append(a) or operator_norm(a))
 
     def allowed(norm):
         return (1.0 + norm) ** 600
 
-    # finite at ||m|| = 2 but not at 2 ||m||_F = 4.47...
-    assert allowed(operator_norm(m)) < np.inf
-    assert not certified_within(x, m, allowed)
-    assert not certified_within(x, m, lambda norm: np.inf)
-    assert certified_within(x, m, lambda norm: (1.0 + norm) ** 300)
+    # finite at ||m|| = 2 but not at 2 ||m||_F = 4.47..., so both exact norms run
+    assert allowed(2.0) < np.inf
+    for allowance, exact_norms in ((allowed, 2), (lambda norm: np.inf, 2),
+                                   (lambda norm: (1.0 + norm) ** 300, 0)):
+        exact.clear()
+        require_agreement(formula, direct, m, allowance, "mismatch")
+        assert len(exact) == exact_norms
 
 
 @given(
@@ -340,7 +358,6 @@ def test_tolerance_validation():
     with pytest.raises(ValidationError):
         Tolerance(atol=-1.0)
     with pytest.raises(ValidationError):
-        Tolerance(atol=0.0, rtol=0.0)
+        Tolerance(atol=0.0)
     with pytest.raises(ValidationError):
         Tolerance(atol=float("nan"))
-    assert Tolerance(atol=1e-8, rtol=1e-6).bound(10.0) == pytest.approx(1e-8 + 1e-5)

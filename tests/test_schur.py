@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from foguel import (
     NotPositiveSemidefiniteError,
     SeededGenerator,
+    SingularMatrixError,
     Tolerance,
     ValidationError,
     build_foguel,
@@ -79,6 +80,15 @@ def test_schur_complement_equivalence_random():
 def test_schur_complement_rejects_indefinite_q():
     with pytest.raises(NotPositiveSemidefiniteError):
         schur_complement(np.eye(2), np.eye(2), np.diag([1.0, -1.0]).astype(complex))
+
+
+def test_schur_complement_and_solve_inverse_refuse_the_same_ill_conditioned_q():
+    # min eigenvalue 1e-12 passes the positive-definite floor; rcond 1e-13 does not
+    q = np.diag([1e-12, 10.0]).astype(complex)
+    for refuse in (lambda: schur_complement(np.eye(2), np.eye(2), q), lambda: solve_inverse(q)):
+        with pytest.raises(SingularMatrixError) as excinfo:
+            refuse()
+        assert excinfo.value.rcond == 1e-13
 
 
 # --- positivity certificates -------------------------------------------------
