@@ -4,8 +4,10 @@ For ``M > 1`` the block operator ``M^2 I - R R*`` is PSD exactly when its
 n x n Schur complement is, which reduces the 2n-dimensional norm question
 ``||R|| <= M`` to a positivity test on the symbol side.  For unitary ``V``
 the reduction collapses to a closed form whose boundary reproduces the
-Foguel norm formula, and a bisection on ``M`` recovers ``||R||`` from
-positivity verdicts alone.
+Foguel norm formula.  ``||R||`` is the root of the reduced matrix's
+smallest eigenvalue as a function of ``M``; a safeguarded Newton iteration
+finds it to a few ulps, and positivity verdicts keep its bracket and
+certify the result.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ POSITIVE_DEFINITE_FLOOR = 1e-12
 #: The positivity level must exceed 1 by at least this much.
 LEVEL_MARGIN = 1e-12
 
-MAX_BISECTION_ITERATIONS = 60
+#: A Newton step of at most this many ulps of the level ends :func:`norm_by_bisection`;
+#: the step's rounding floor, where it stops shrinking, measured at most 6 ulps.
+NEWTON_STOP_ULPS = 16
+
+#: Levels :func:`norm_by_bisection` evaluates at most before its closing certificate.
+MAX_ITERATIONS = 60
 
 
 def _complement(p, y, d) -> np.ndarray:
@@ -208,7 +215,11 @@ def scalar_criterion(t: float, level: float) -> bool:
 
 @dataclass(frozen=True)
 class NormBisection:
-    """Result of recovering ``||R||`` from positivity verdicts alone."""
+    """``||R||`` from the Schur reduction, with the bracket that positivity certifies.
+
+    ``iterations`` counts the levels the Newton iteration evaluated;
+    positivity fails at ``lower`` and holds at ``upper``.
+    """
 
     value: float
     iterations: int
@@ -217,43 +228,73 @@ class NormBisection:
 
 
 def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
-    """Bisect the positivity level to the norm of the Foguel operator.
+    """The norm of the Foguel operator from the reduced route, with a certified bracket.
 
-    Brackets with a lower end just above 1 (where positivity fails for a
-    nonzero symbol) and the closed-form norm bound plus one (provably
-    positive), then bisects until the bracket width drops below
-    ``tol.atol``.  A zero symbol short-circuits to the directly computed
-    norm; a violated bracket invariant raises
-    :class:`InternalConsistencyError`.
+    A safeguarded Newton iteration (Brent, 1973, ch. 4) on
+    ``f(M) = lambda_min`` of the reduced matrix, whose root is ``||R||``,
+    with the Hellmann-Feynman slope
+    ``f'(M) = 2M (1 + sum_k |(Y* x)_k|^2 / (M^2 - w_k)^2)`` for the bottom
+    eigenvector ``x``, ``Y = op.coupling`` and ``w`` the eigenvalues of
+    ``V V*``.  It starts at the closed-form norm plus one, where positivity
+    must hold; the positivity verdict at each level narrows the bracket
+    ``(1 + LEVEL_MARGIN, closed + 1]``, and a step that would leave it,
+    unless it is shorter than the singular band ``threshold / f'(M)``,
+    becomes a bisection step.  A step of at most ``NEWTON_STOP_ULPS`` ulps
+    ends the iteration, which reads the closed form for the start alone and
+    never reads the Gram spectrum.
+
+    Positivity must then fail at ``value - tol.atol / 2`` and hold at
+    ``value + tol.atol / 2``, or :class:`InternalConsistencyError` is
+    raised; a ``tol.atol`` of at most four singular bands cannot be
+    certified and raises :class:`ValidationError`.  A symbol too small for
+    that bracket to lie above ``1 + LEVEL_MARGIN`` short-circuits to the
+    directly computed norm.
     """
-    t_norm = op.symbol_norm
-    closed = foguel_norm_closed(t_norm)
-    if t_norm == 0.0 or closed - 1.0 < 1e-12:
+    closed = foguel_norm_closed(op.symbol_norm)
+    if closed - tol.atol <= 1.0 + LEVEL_MARGIN:
         return NormBisection(
             value=operator_norm(op.matrix), iterations=0, lower=1.0, upper=closed
         )
 
-    lower = 1.0 + min(1e-9, (closed - 1.0) / 2.0)
-    upper = closed + 1.0
+    w, _ = op.vv_eigs
+    lower, upper = 1.0 + LEVEL_MARGIN, closed + 1.0
+    level = upper
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        cert = foguel_positivity(op, level)
+        if cert.positive:
+            upper = min(upper, level)
+        elif iterations == 1:
+            raise InternalConsistencyError(
+                f"bracket invariant violated: positivity fails at the upper end "
+                f"{upper!r} above the closed-form bound"
+            )
+        else:
+            lower = max(lower, level)
+        eigvals, eigvecs = hermitian_eigs(cert.reduced_matrix)
+        y = adjoint(op.coupling) @ eigvecs[:, 0]
+        slope = 2.0 * level * (1.0 + float(np.sum(np.abs(y) ** 2 / (level**2 - w) ** 2)))
+        step = float(eigvals[0]) / slope
+        band = cert.threshold / slope
+        level -= step
+        if abs(step) <= NEWTON_STOP_ULPS * np.spacing(level):
+            break
+        # a verdict cannot order a level within the singular band against the
+        # norm, so a step that short is taken even where it leaves the bracket
+        if not lower < level < upper and abs(step) > band:
+            level = (lower + upper) / 2.0
+
+    if tol.atol <= 4.0 * band:
+        raise ValidationError(
+            f"tolerance {tol.atol!r} is too fine to certify at level {level!r}: "
+            f"verdicts within {band:.3e} of the norm cannot order it"
+        )
+    lower, upper = level - tol.atol / 2.0, level + tol.atol / 2.0
     if foguel_positivity(op, lower).positive:
         raise InternalConsistencyError(
-            f"bracket invariant violated: positivity already holds at the "
-            f"lower end {lower!r}"
+            f"certified bracket violated: positivity holds at the lower end {lower!r}"
         )
     if not foguel_positivity(op, upper).positive:
         raise InternalConsistencyError(
-            f"bracket invariant violated: positivity fails at the upper end "
-            f"{upper!r} above the closed-form bound"
+            f"certified bracket violated: positivity fails at the upper end {upper!r}"
         )
-
-    iterations = 0
-    while upper - lower > tol.atol and iterations < MAX_BISECTION_ITERATIONS:
-        mid = (upper + lower) / 2.0
-        if foguel_positivity(op, mid).positive:
-            upper = mid
-        else:
-            lower = mid
-        iterations += 1
-    return NormBisection(
-        value=(upper + lower) / 2.0, iterations=iterations, lower=lower, upper=upper
-    )
+    return NormBisection(value=level, iterations=iterations, lower=lower, upper=upper)

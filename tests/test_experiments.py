@@ -162,6 +162,19 @@ def test_config_integer_fields_store_plain_ints():
     assert json.loads(emit_report(report).splitlines()[-1])["config"]["dim"] == 3
 
 
+@pytest.mark.parametrize("tol", [True, "1e-8"])
+def test_config_tol_rejects_a_bool_or_a_string(tol):
+    with pytest.raises(ValidationError, match=f"tol must be a real number, got {tol!r}"):
+        run_experiment(ExperimentConfig(experiment="verify-norm", dim=2, trials=1, tol=tol))
+
+
+def test_config_tol_stores_a_plain_float():
+    config = ExperimentConfig(experiment="verify-norm", dim=2, trials=1, tol=np.float32(0.5))
+    report = run_experiment(config)
+    assert type(report.config.tol) is float
+    assert json.loads(emit_report(report).splitlines()[-1])["config"]["tol"] == 0.5
+
+
 @pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
 def test_tol_scales_every_threshold(experiment):
     # run_experiment is the one place where --tol scales a threshold, so a

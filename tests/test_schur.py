@@ -1,4 +1,4 @@
-"""Schur reduction, Neumann series and positivity-bisection tests."""
+"""Schur reduction, Neumann series and Schur-route norm tests."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foguel import (
+    InternalConsistencyError,
     NotPositiveSemidefiniteError,
     SeededGenerator,
     SingularMatrixError,
@@ -26,7 +27,7 @@ from foguel import (
     symbol_norm_from_foguel,
     truncated_shift,
 )
-from foguel.linalg import adjoint, hermitian_eigvals
+from foguel.linalg import adjoint, hermitian_eigs, hermitian_eigvals
 
 
 def _unitary_pair(n, seed):
@@ -379,52 +380,108 @@ def test_bisection_random_matches_closed_form():
     assert abs(result.value - svd_norm) <= 1e-6
 
 
-def test_bisection_eigensolves_of_order_2n_do_not_scale_with_iterations(monkeypatch):
-    # the direct route's 2n x 2n eigensolve runs once per operator, not per level
-    v, t = _unitary_pair(6, seed=70)
-    order_2n = []
+def _counting_eigensolves(monkeypatch, order):
+    """Patch numpy's Hermitian eigensolvers to record each call at ``order``."""
+    calls = []
 
     def counting(solver):
         def wrapper(a, *args, **kwargs):
-            if np.shape(a)[-1] == 12:
-                order_2n.append(solver.__name__)
+            if np.shape(a)[-1] == order:
+                calls.append(solver.__name__)
             return solver(a, *args, **kwargs)
 
         return wrapper
 
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    counts, iterations = [], []
+    return calls
+
+
+def test_bisection_runs_one_eigensolve_of_order_2n_per_operator(monkeypatch):
+    # the direct route's 2n x 2n Gram spectrum is the only one; every level
+    # and the closing certificate work on order n
+    v, t = _unitary_pair(6, seed=70)
+    order_2n = _counting_eigensolves(monkeypatch, 12)
     for atol in (1e-3, 1e-9):
         order_2n.clear()
         result = norm_by_bisection(build_foguel(v, t), Tolerance(atol=atol))
-        counts.append(len(order_2n))
-        iterations.append(result.iterations)
-    assert iterations[0] < iterations[1]
-    assert counts[0] == counts[1] > 0
+        assert result.iterations > 0
+        assert order_2n == ["eigvalsh"]
 
 
-def test_bisection_runs_no_eigensolve_of_order_n_per_level(monkeypatch):
-    # a level's verdict comes from a Cholesky certificate; only the cached
-    # ||T||, ||V|| and eig(V V*) need an n x n eigensolve
-    v, t = _unitary_pair(6, seed=71)
-    op = build_foguel(v, t)
-    order_n = []
+def test_bisection_evaluates_at_most_eight_levels():
+    for dim in (1, 2, 3, 4, 8, 16, 32, 64):
+        for seed in range(50):
+            v, t = _unitary_pair(dim, seed=1000 * dim + seed)
+            result = norm_by_bisection(build_foguel(v, t), Tolerance(atol=1e-7))
+            assert 1 <= result.iterations <= 8, (dim, seed)
 
-    def counting(solver):
-        def wrapper(a, *args, **kwargs):
-            if np.shape(a)[-1] == 6:
-                order_n.append(solver.__name__)
-            return solver(a, *args, **kwargs)
 
-        return wrapper
+@pytest.mark.parametrize("dim", [1, 3, 8, 24])
+def test_bisection_bracket_is_certified_at_both_ends(dim):
+    for seed in range(5):
+        op = build_foguel(*_unitary_pair(dim, seed=80 + seed))
+        result = norm_by_bisection(op, Tolerance(atol=1e-7))
+        assert result.lower == result.value - 5e-8
+        assert result.upper == result.value + 5e-8
+        assert not foguel_positivity(op, result.lower).positive
+        assert foguel_positivity(op, result.upper).positive
+        assert abs(result.value - operator_norm(op.matrix)) <= 1e-13 * result.value
 
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+
+def test_bisection_value_does_not_read_the_gram_spectrum(monkeypatch):
+    from foguel.models import FoguelOperator
+
+    v, t = _unitary_pair(8, seed=85)
+    expected = norm_by_bisection(build_foguel(v, t), Tolerance(atol=1e-7))
+    original = FoguelOperator.__dict__["gram_eigvals"].func
+    monkeypatch.setattr(
+        FoguelOperator, "gram_eigvals", property(lambda op: np.nextafter(original(op), np.inf))
+    )
+    result = norm_by_bisection(build_foguel(v, t), Tolerance(atol=1e-7))
+    assert result == expected
+
+
+def test_bisection_falls_back_to_the_verdicts_when_newton_steps_are_wrong(monkeypatch):
+    # eigenvalues shifted by 1e-5 aim every Newton step at a root about 1e-6
+    # below ||R||; those steps leave the bracket, so bisection on the verdicts
+    # finds the norm to within the singular band
+    from foguel import schur
+
+    def shifted(m):
+        eigvals, eigvecs = hermitian_eigs(m)
+        return eigvals + 1e-5, eigvecs
+
+    monkeypatch.setattr(schur, "hermitian_eigs", shifted)
+    op = build_foguel(*_unitary_pair(4, seed=86))
     result = norm_by_bisection(op, Tolerance(atol=1e-7))
-    assert result.iterations >= 25
-    assert len(order_n) <= 4
-    assert op.symbol_norm == operator_norm(t)
+    assert result.iterations > 8
+    assert abs(result.value - operator_norm(op.matrix)) <= 1e-9
+
+
+@pytest.mark.parametrize("budget, end", [(1, "lower"), (2, "upper")])
+def test_bisection_certificate_catches_an_iteration_cut_short(monkeypatch, budget, end):
+    # for the golden-ratio operator one Newton step from closed + 1 stays
+    # above ||R|| and the next lands below it; the certificate refuses both
+    from foguel import schur
+
+    monkeypatch.setattr(schur, "MAX_ITERATIONS", budget)
+    op = build_foguel([[1]], [[1]])
+    with pytest.raises(InternalConsistencyError, match=f"at the {end} end"):
+        norm_by_bisection(op, Tolerance(atol=1e-7))
+
+
+def test_bisection_refuses_a_tolerance_inside_the_singular_band():
+    # at ||R|| near 1e4 a verdict cannot order levels 5e-7 apart
+    with pytest.raises(ValidationError, match="too fine to certify"):
+        norm_by_bisection(build_foguel([[1]], [[1e4]]), Tolerance(atol=1e-7))
+
+
+def test_bisection_short_circuits_a_symbol_too_small_to_bracket():
+    op = build_foguel([[1]], [[1e-8]])
+    result = norm_by_bisection(op, Tolerance(atol=1e-7))
+    assert result.iterations == 0
+    assert result.value == operator_norm(op.matrix)
 
 
 def test_bisection_zero_symbol_short_circuit():
