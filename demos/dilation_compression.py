@@ -31,18 +31,18 @@ print(f"with +A* : unitarity defect {plus_defect:.3e}  <- not a dilation at all"
 
 print()
 print("=== compression bound ===")
-lift = fg.lift_foguel(a, t)
-r = fg.compress_generalized(a, t)
+r = fg.generalized_foguel(a, t)
+w = fg.lift_foguel(a, t).matrix
 t_norm = fg.operator_norm(t)
 print(f"||T||                     : {t_norm:.6f}")
 print(f"||R|| (contraction slot)  : {fg.operator_norm(r):.6f}")
-print(f"||W|| (lifted, 16 x 16)   : {fg.operator_norm(lift.lifted):.6f}")
+print(f"||W|| (lifted, 16 x 16)   : {fg.operator_norm(w):.6f}")
 print(f"closed-form cap           : {fg.foguel_norm_closed(t_norm):.6f}")
 
 print()
 print("the cap is attained exactly when the slot is unitary:")
 v = fg.haar_unitary(4, gen)
-r_unitary = fg.compress_generalized(v, t)
+r_unitary = fg.generalized_foguel(v, t)
 print(f"||R|| with unitary slot   : {fg.operator_norm(r_unitary):.12f}")
 print(f"closed-form cap           : {fg.foguel_norm_closed(t_norm):.12f}")
 

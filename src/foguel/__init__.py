@@ -9,16 +9,13 @@ Schur-complement positivity characterization of the norm.
 """
 
 from .dilation import (
-    DilationLift,
     Polynomial,
     PolyBoundReport,
-    compress_generalized,
     foguel_power,
     generalized_foguel,
     halmos_dilation,
     lift_foguel,
     poly_apply,
-    power_offdiag,
     tilde_deriv_bound,
     verify_poly_bound,
 )
@@ -67,7 +64,6 @@ from .schur import (
     neumann_eval,
     norm_by_bisection,
     scalar_criterion,
-    schur_complement,
 )
 from .spectral import (
     ResolventBlocks,
@@ -87,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundViolationError",
-    "DilationLift",
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentReport",
@@ -109,7 +104,6 @@ __all__ = [
     "ValidationError",
     "adjoint",
     "build_foguel",
-    "compress_generalized",
     "embed_corner",
     "emit_report",
     "foguel_gram_inverse",
@@ -132,13 +126,11 @@ __all__ = [
     "norm_by_bisection",
     "operator_norm",
     "poly_apply",
-    "power_offdiag",
     "psd_sqrt",
     "random_contraction",
     "resolvent_blocks",
     "run_experiment",
     "scalar_criterion",
-    "schur_complement",
     "solve_inverse",
     "symbol_norm_from_foguel",
     "tilde_deriv_bound",

@@ -13,7 +13,6 @@ norm bounds for ``p(R)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +39,6 @@ BOUNDARY_SAMPLES = 4096
 
 POWER_SELFCHECK_TOL = 1e-9
 POLY_SELFCHECK_TOL = 1e-9
-COMPRESSION_SLACK_TOL = 1e-10
 NORM_BOUND_SLACK_TOL = 1e-8
 
 
@@ -61,14 +59,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def tilde(self) -> "Polynomial":
-        """The polynomial with each coefficient replaced by its modulus."""
-        return Polynomial(abs(c) for c in self.coeffs)
 
     def __call__(self, z):
         """Evaluate at a scalar or ndarray of points (Horner)."""
@@ -94,7 +84,7 @@ class Polynomial:
 
 
 def tilde_deriv_bound(p: Polynomial) -> float:
-    """Sup over the closed disk of the derivative of ``p.tilde()``.
+    """Sup over the closed disk of the derivative of ``tilde(p) = sum_j |a_j| z^j``.
 
     Equals ``sum_j j * |a_j|``: a polynomial with non-negative coefficients
     attains its sup-norm on the disk at ``z = 1``.
@@ -134,78 +124,17 @@ def halmos_dilation(a) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DilationLift:
-    """A contraction, its unitary dilation, and the lifted Foguel operator.
+def lift_foguel(a, t) -> FoguelOperator:
+    """Lift ``[[A*, T], [0, A]]`` to a genuine Foguel operator via dilation.
 
-    ``lifted`` is the 4n x 4n Foguel operator whose isometry slot is the
-    dilation and whose symbol pads ``T`` into the upper-right n x n block of
-    a 2n x 2n matrix; padding preserves the symbol norm exactly.
+    The result's isometry slot ``v`` is :func:`halmos_dilation` of ``A``,
+    its symbol ``t`` pads ``T`` into the upper-right n x n block of a
+    2n x 2n matrix (padding preserves the symbol norm exactly), ``matrix``
+    is the 4n x 4n operator ``W`` and ``isometry_defect`` the dilation's
+    unitarity defect.
     """
-
-    contraction: np.ndarray
-    dilation: np.ndarray
-    padded_symbol: np.ndarray
-    operator: FoguelOperator
-
-    @cached_property
-    def lifted(self) -> np.ndarray:
-        return self.operator.matrix
-
-
-def lift_foguel(a, t) -> DilationLift:
-    """Lift ``[[A*, T], [0, A]]`` to a genuine Foguel operator via dilation."""
     a, t = require_pair(a, t, ("A", "T"))
-    dilation = halmos_dilation(a)
-    padded = block2(None, t, None, None)
-    operator = build_foguel(dilation, padded, require_isometry=True)
-    return DilationLift(
-        contraction=a, dilation=dilation, padded_symbol=padded, operator=operator
-    )
-
-
-def compress_generalized(a, t) -> np.ndarray:
-    """Assemble ``R = [[A*, T], [0, A]]`` and verify the dilation norm bound.
-
-    Checks ``||R|| <= ||W||`` for the lifted operator ``W`` and hence
-    ``||R||`` against the closed-form Foguel norm of ``||T||``.  A violation
-    would falsify the compression argument and raises
-    :class:`BoundViolationError` carrying both norms.
-    """
-    lift = lift_foguel(a, t)
-    r = generalized_foguel(a, t)
-    r_norm = operator_norm(r)
-    w_norm = operator_norm(lift.lifted)
-    if r_norm > w_norm + COMPRESSION_SLACK_TOL:
-        raise BoundViolationError(
-            f"compression bound violated: ||R||={r_norm:.12g} exceeds "
-            f"||W||={w_norm:.12g}",
-            value=r_norm,
-            bound=w_norm,
-        )
-    closed = foguel_norm_closed(operator_norm(as_matrix(t)))
-    if r_norm > closed + NORM_BOUND_SLACK_TOL:
-        raise BoundViolationError(
-            f"compression bound violated: ||R||={r_norm:.12g} exceeds "
-            f"closed-form bound {closed:.12g}",
-            value=r_norm,
-            bound=closed,
-        )
-    return r
-
-
-def power_offdiag(a, t, n: int) -> np.ndarray:
-    """Off-diagonal block ``sum_{j=0}^{n-1} (A*)^j T A^{n-1-j}`` of the n-th power."""
-    a, t = require_pair(a, t, ("A", "T"))
-    n = require_index(n, "power index", 1)
-    a_star = adjoint(a)
-    # accumulate via the recurrence D_{k+1} = A* D_k + T A^k, D_1 = T
-    total = t.copy()
-    a_pow = np.eye(a.shape[0], dtype=np.complex128)
-    for _ in range(n - 1):
-        a_pow = a_pow @ a
-        total = a_star @ total + t @ a_pow
-    return total
+    return build_foguel(halmos_dilation(a), block2(None, t, None, None))
 
 
 def _shaped_like(m, r: np.ndarray, what: str):
@@ -225,9 +154,9 @@ def _direct_or(direct, r: np.ndarray, evaluate) -> np.ndarray:
 def _power_step(a: np.ndarray, t: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """The block formula for ``R^n`` from that for ``R^(n-1)``, in two order-n products.
 
-    ``A^n = A^(n-1) A`` and ``D_n = A* D_(n-1) + T A^(n-1)``, the order in
-    which :func:`power_offdiag` runs the recurrence, so ``D_n`` is
-    bit-identical to it; the upper-left block is ``adjoint(A^n)``.
+    ``A^n = A^(n-1) A`` and ``D_n = A* D_(n-1) + T A^(n-1)``, with
+    ``A^(n-1)`` and ``D_(n-1)`` read from ``previous``; the upper-left block
+    is ``adjoint(A^n)``.
     """
     k = a.shape[0]
     a_prev = previous[k:, k:]

@@ -271,14 +271,13 @@ def _run_verify_dilation(cfg: ExperimentConfig, gen, checks: _Checks):
     a = models.random_contraction(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     lift = dil.lift_foguel(a, t)
-    # build_foguel stored ||D* D - I|| for the dilation D in the isometry slot
-    unitarity = lift.operator.isometry_defect
     t_norm = operator_norm(t)
     closed = spectral.foguel_norm_closed(t_norm)
-    w_norm = operator_norm(lift.lifted)
+    w_norm = operator_norm(lift.matrix)
     r_norm = operator_norm(dil.generalized_foguel(a, t))
 
-    checks.add("dilation-unitarity", unitarity, checks.tol)
+    # build_foguel stored ||D* D - I|| for the dilation D in the isometry slot
+    checks.add("dilation-unitarity", lift.isometry_defect, checks.tol)
     checks.add("lifted-norm", abs(w_norm - closed) / (1.0 + t_norm), 10.0 * checks.tol)
     checks.add("compression-vs-lift", max(0.0, r_norm - w_norm), checks.tol / 10.0)
     checks.add("compression-vs-closed", max(0.0, r_norm - closed), 10.0 * checks.tol)

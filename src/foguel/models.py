@@ -28,6 +28,7 @@ from .linalg import (
     operator_norm,
     require_agreement,
     require_contraction,
+    require_index,
     require_pair,
 )
 
@@ -68,16 +69,9 @@ class SeededGenerator:
         return float(self.rng.uniform(low, high))
 
 
-def _require_dim(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
-    return n
-
-
 def ginibre(n: int, gen: SeededGenerator) -> np.ndarray:
     """n x n matrix with iid standard complex Gaussian entries."""
-    return gen.complex_gaussian(_require_dim(n))
+    return gen.complex_gaussian(require_index(n, "dimension", 1))
 
 
 def haar_unitary(n: int, gen: SeededGenerator) -> np.ndarray:
@@ -100,7 +94,7 @@ def truncated_shift(n: int) -> np.ndarray:
     ``S* S = diag(1, ..., 1, 0)`` exactly, so the isometry defect is rank one
     and has norm one for every n.
     """
-    return np.eye(_require_dim(n), k=-1, dtype=np.complex128)
+    return np.eye(require_index(n, "dimension", 1), k=-1, dtype=np.complex128)
 
 
 def random_contraction(n: int, gen: SeededGenerator) -> np.ndarray:
@@ -216,7 +210,7 @@ def embed_corner(t, big_dim: int) -> np.ndarray:
     The embedding preserves the operator norm exactly.
     """
     t = as_matrix(t)
-    big_dim = _require_dim(big_dim)
+    big_dim = require_index(big_dim, "dimension", 1)
     k_rows, k_cols = t.shape
     if k_rows > big_dim or k_cols > big_dim:
         raise ValidationError(

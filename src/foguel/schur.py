@@ -26,9 +26,7 @@ from .linalg import (
     operator_norm,
     psd_verdict,
     require_conditioned,
-    require_hermitian,
     require_index,
-    require_square,
 )
 from .models import FoguelOperator
 from .spectral import foguel_norm_closed
@@ -65,20 +63,6 @@ def _complement(p, y, d) -> np.ndarray:
     require_conditioned(np.abs(d), "lower-right block")
     complement = p - (y / d) @ adjoint(y)
     return (complement + adjoint(complement)) / 2.0
-
-
-def schur_complement(p, x, q) -> np.ndarray:
-    """Schur complement ``P - X Q^{-1} X*`` of ``[[P, X], [X*, Q]]``.
-
-    ``Q`` must be Hermitian positive definite (min eigenvalue >=
-    ``POSITIVE_DEFINITE_FLOOR``);
-    then the block matrix is PSD if and only if the complement is.  ``Q^{-1}``
-    is applied through the eigendecomposition of ``Q``.
-    """
-    p = require_hermitian(p)
-    x = require_square(x, "X")
-    w, u = hermitian_eigs(q)
-    return _complement(p, x @ u, w)
 
 
 @dataclass(frozen=True, eq=False)

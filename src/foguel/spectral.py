@@ -186,9 +186,8 @@ def resolvent_blocks(op: FoguelOperator, lam: float) -> ResolventBlocks:
     b = (v @ adjoint(t) @ x - v @ adjoint(v)) / (lam - 1.0)
     b = (b + adjoint(b)) / 2.0
 
-    blocks = ResolventBlocks(lam=lam, a=a, x=x, b=b, residual=0.0)
     residual = operator_norm(
-        (op.gram - lam * np.eye(2 * n)) @ blocks.solution - np.eye(2 * n)
+        (op.gram - lam * np.eye(2 * n)) @ block2(a, x, adjoint(x), b) - np.eye(2 * n)
     )
     return ResolventBlocks(lam=lam, a=a, x=x, b=b, residual=residual)
 

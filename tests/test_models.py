@@ -13,7 +13,6 @@ from foguel import (
     haar_unitary,
     lift_foguel,
     operator_norm,
-    power_offdiag,
     random_contraction,
     truncated_shift,
 )
@@ -54,6 +53,24 @@ def test_haar_unitary_large_dimensions():
 def test_haar_unitary_rejects_zero_dimension():
     with pytest.raises(ValidationError):
         haar_unitary(0, SeededGenerator(1))
+
+
+@pytest.mark.parametrize(
+    "make, dim",
+    [
+        (lambda n: ginibre(n, SeededGenerator(1)), 2.5),
+        (lambda n: ginibre(n, SeededGenerator(1)), "3"),
+        (lambda n: haar_unitary(n, SeededGenerator(1)), 3.9),
+        (lambda n: random_contraction(n, SeededGenerator(1)), 2.0),
+        (truncated_shift, True),
+        (lambda n: embed_corner(np.eye(2), n), 4.7),
+    ],
+    ids=["ginibre-float", "ginibre-str", "haar_unitary", "random_contraction",
+         "truncated_shift-bool", "embed_corner"],
+)
+def test_a_non_integral_dimension_is_rejected(make, dim):
+    with pytest.raises(ValidationError, match=f"dimension must be an integer, got {dim!r}"):
+        make(dim)
 
 
 def test_truncated_shift_small():
@@ -106,9 +123,8 @@ def test_build_foguel_rejects_shape_mismatch():
     [
         generalized_foguel,
         lift_foguel,
-        lambda a, t: power_offdiag(a, t, 2),
     ],
-    ids=["generalized_foguel", "lift_foguel", "power_offdiag"],
+    ids=["generalized_foguel", "lift_foguel"],
 )
 def test_pair_functions_reject_shape_mismatch(pair_function):
     # build_foguel's own case is test_build_foguel_rejects_shape_mismatch

@@ -22,12 +22,12 @@ from foguel import (
     operator_norm,
     random_contraction,
     scalar_criterion,
-    schur_complement,
     solve_inverse,
     symbol_norm_from_foguel,
     truncated_shift,
 )
 from foguel.linalg import adjoint, hermitian_eigs, hermitian_eigvals
+from foguel.schur import _complement
 
 
 def _unitary_pair(n, seed):
@@ -36,6 +36,12 @@ def _unitary_pair(n, seed):
 
 
 # --- Schur complement --------------------------------------------------------
+
+
+def schur_complement(p, x, q):
+    """``P - X Q^{-1} X*`` of ``[[P, X], [X*, Q]]``, with ``Q``'s eigenpairs from ``eigh``."""
+    w, u = np.linalg.eigh(np.asarray(q, dtype=complex))
+    return _complement(np.asarray(p, dtype=complex), np.asarray(x, dtype=complex) @ u, w)
 
 
 def test_schur_complement_zero_coupling():
