@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     block2,
     operator_norm,
+    refuse_expansion,
     require_agreement,
     require_contraction,
     require_index,
@@ -108,11 +109,12 @@ def halmos_dilation(a) -> np.ndarray:
     Both defect square roots are built from a single SVD of ``A``: with
     ``A = U S V*`` they are ``U sqrt(I-S^2) U*`` and ``V sqrt(I-S^2) V*``,
     which keeps the unitarity residual at the scale of the SVD itself even
-    when singular values sit exactly at 1.
+    when singular values sit exactly at 1.  The same SVD's largest singular
+    value is the ``||A||`` a non-contraction is refused by.
     """
     a = require_square(a, "A")
-    require_contraction(a, "A")
     u, s, vh = np.linalg.svd(a)
+    refuse_expansion(float(s[0]), "A")  # ||A|| from this SVD, not a second eigensolve
     g = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     defect_left = (u * g) @ adjoint(u)  # (I - A A*)^{1/2}
     defect_right = (adjoint(vh) * g) @ vh  # (I - A* A)^{1/2}

@@ -4,9 +4,10 @@ Everything here reduces to a Hermitian eigendecomposition so that one
 well-tested LAPACK kernel (``numpy.linalg.eigh``) backs the operator norm,
 the PSD square root and all exact positivity decisions; the Cholesky
 certificates below decide a positivity question without an eigensolve
-when its answer is certain.  All functions are pure:
-inputs are never mutated and no module state exists, so concurrent use is
-safe.
+when its answer is certain, and at large orders a gap-certified Lanczos
+iteration replaces the operator norm's eigensolve.  All public functions
+are pure: inputs are never mutated and no module state exists, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +44,25 @@ NORM_CERTIFICATE_MARGIN = 1e-8
 
 #: The constant ``c`` of :func:`psd_verdict`'s margin ``c m (m + 1) eps (||h||_F + |shift|)``.
 PSD_VERDICT_MARGIN = 4.0
+
+#: Order of ``m* m`` from which :func:`operator_norm` tries the certified
+#: Lanczos path before ``eigvalsh`` (measured by ``tools/norm_crossover.py``).
+LANCZOS_MIN_ORDER = 1024
+
+#: Lanczos steps after which :func:`operator_norm` gives up and runs
+#: ``eigvalsh`` (measured by ``tools/norm_crossover.py``).
+LANCZOS_MAX_STEPS = 100
+
+#: Seed of the Lanczos start vector; fixed, so it is never a trial's draw.
+LANCZOS_SEED = 20121
+
+#: Largest relative width of the enclosure a Lanczos value is returned with.
+LANCZOS_ENCLOSURE_RTOL = 1e-11
+
+#: Rows per block when the Lanczos certificate writes its matrix.
+_CERTIFICATE_ROWS = 128
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -163,13 +184,144 @@ def hermitian_eigvals(m) -> np.ndarray:
 def operator_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value of ``m``.
 
-    Computed as ``sqrt(lambda_max(m* m))`` so the result shares the Hermitian
-    eigensolver with the rest of the kernel.
+    Computed as ``sqrt(lambda_max(g))`` for ``g = m* m`` made exactly
+    Hermitian, so the result shares the Hermitian eigensolver with the rest
+    of the kernel.  From order ``LANCZOS_MIN_ORDER`` on,
+    :func:`_lanczos_top_eigenvalue` tries first and ``eigvalsh`` runs on the
+    same ``g`` only when it certifies nothing.
     """
     m = as_matrix(m)
     g = adjoint(m) @ m
-    w = np.linalg.eigvalsh((g + adjoint(g)) / 2.0)
+    g = (g + adjoint(g)) / 2.0
+    if g.shape[0] >= LANCZOS_MIN_ORDER:
+        top = _lanczos_top_eigenvalue(g)
+        if top.value is not None:
+            return float(np.sqrt(max(top.value, 0.0)))
+    w = np.linalg.eigvalsh(g)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
+
+
+class _TopEigenvalue(NamedTuple):
+    """Outcome of :func:`_lanczos_top_eigenvalue`.
+
+    ``value`` is the certified ``lambda_max``, or None when the caller must
+    run its eigensolve; ``steps`` counts Lanczos steps, ``width`` is the
+    relative width of the enclosure (inf when none was formed) and
+    ``reason`` reads ``certified``, ``non-finite``, ``breakdown``,
+    ``budget``, ``no-gap``, ``too-wide`` or ``not-definite``.
+    """
+
+    value: float | None
+    steps: int
+    width: float
+    reason: str
+
+
+def _lanczos_start(n: int) -> np.ndarray:
+    """The unit complex Gaussian start vector of order ``n``, drawn from ``LANCZOS_SEED``."""
+    z = np.random.default_rng(LANCZOS_SEED).standard_normal((2, n))
+    v = z[0] + 1j * z[1]
+    return v / np.linalg.norm(v)
+
+
+def _lanczos_top_eigenvalue(g: np.ndarray) -> _TopEigenvalue:
+    """``lambda_max(g)`` of an exactly Hermitian PSD ``g`` by Lanczos, with a gap certificate.
+
+    Full-reorthogonalization Lanczos runs from :func:`_lanczos_start` until
+    the top Ritz residual estimate is at most ``4 eps theta`` or
+    ``LANCZOS_MAX_STEPS`` (or the order) steps are spent.  With ``x`` the
+    unit Ritz vector, ``a = x* g x`` and ``s`` the midpoint of the top two
+    Ritz values, the value ``a`` is returned only when both hold:
+
+    - ``(s - mu) I - Q g Q`` factors by Cholesky, where ``Q = I - x x*``
+      and ``mu`` is :func:`psd_verdict`'s margin.  Then the spectrum of
+      ``g`` on the complement of ``x`` lies below ``s``, so by the
+      Kato--Temple bound (Parlett, *The Symmetric Eigenvalue Problem*,
+      SIAM 1998)
+      ``a - rho <= lambda_max(g) <= a + rho + (||g x - a x|| + rho)^2 / (a - s - rho)``
+      with ``rho = m eps ||g||_F`` at order ``m`` for the rounding of ``a``,
+      of the residual and of ``Q g Q``;
+    - the relative width ``(upper - a) / a`` of that enclosure is at most
+      ``LANCZOS_ENCLOSURE_RTOL``.
+
+    A breakdown (``beta = 0``), a single Ritz value, a spent budget or a
+    non-finite ``g`` certify nothing either.  The factorized matrix is
+    written into ``g``'s strict upper triangle and diagonal; the strict
+    lower triangle is never written and the diagonal is put back, so an
+    ``eigvalsh`` of ``g`` afterwards (which reads the lower triangle) is
+    exactly the one it would have been.
+    """
+    n = g.shape[0]
+    fro = float(np.linalg.norm(g))
+    if not math.isfinite(fro):
+        return _TopEigenvalue(None, 0, math.inf, "non-finite")
+    budget = min(LANCZOS_MAX_STEPS, n)
+    basis = np.empty((budget, n), dtype=np.complex128)
+    alpha, beta = np.zeros(budget), np.zeros(budget)
+    v = _lanczos_start(n)
+    for k in range(budget):
+        basis[k] = v
+        done = basis[: k + 1]
+        w = g @ v
+        c = (done @ w.conj()).conj()  # done* w, without conjugating the basis
+        alpha[k] = c[k].real
+        w -= c @ done
+        w -= (done @ w.conj()).conj() @ done  # reorthogonalize a second time
+        beta[k] = np.linalg.norm(w)
+        if not beta[k] > 0.0:
+            return _TopEigenvalue(None, k + 1, math.inf, "breakdown")
+        tri = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        theta, s = np.linalg.eigh(tri)
+        if beta[k] * abs(s[-1, -1]) <= 4.0 * _EPS * theta[-1]:
+            break
+        v = w / beta[k]
+    else:
+        return _TopEigenvalue(None, budget, math.inf, "budget")
+    if k == 0:
+        return _TopEigenvalue(None, 1, math.inf, "no-gap")
+
+    x = s[:, -1] @ done
+    x /= np.linalg.norm(x)
+    y = g @ x
+    a = float(np.vdot(x, y).real)
+    residual = float(np.linalg.norm(y - a * x))
+    rho = n * _EPS * fro
+    gap_mid = 0.5 * (float(theta[-1]) + float(theta[-2]))
+    room = a - gap_mid - rho
+    width = (rho + (residual + rho) ** 2 / room) / a if a > 0.0 and room > 0.0 else math.inf
+    if not width <= LANCZOS_ENCLOSURE_RTOL:
+        return _TopEigenvalue(None, k + 1, width, "too-wide")
+    mu = _psd_margin(n, fro + abs(gap_mid))
+    if mu is None or not _deflation_factors(g, x, y - 0.5 * a * x, gap_mid - mu):
+        return _TopEigenvalue(None, k + 1, width, "not-definite")
+    return _TopEigenvalue(a, k + 1, width, "certified")
+
+
+def _deflation_factors(g: np.ndarray, x: np.ndarray, z: np.ndarray, shift: float) -> bool:
+    """Whether ``shift I - Q g Q`` factors by Cholesky, for ``Q = I - x x*`` and ``z = g x - (a/2) x``.
+
+    ``Q g Q = g - x z* - z x*``.  The matrix is written into the strict
+    upper triangle and the diagonal of the C-contiguous ``g`` as its own
+    transpose, so that ``g.T``, whose lower triangle is what the
+    factorization reads, holds it; no further order-n array is made.  The
+    strict lower triangle of ``g`` is left alone and its diagonal restored.
+    """
+    n = g.shape[0]
+    diagonal = g.ravel()[:: n + 1]
+    saved = diagonal.copy()
+    xc, zc = x.conj(), z.conj()
+    for lo in range(0, n, _CERTIFICATE_ROWS):
+        hi = min(lo + _CERTIFICATE_ROWS, n)
+        rows = g[lo:hi, lo:]  # a view: from the diagonal block rightwards
+        deflated = np.conj(np.outer(z[lo:hi], xc[lo:]) + np.outer(x[lo:hi], zc[lo:]) - rows)
+        lower = np.tril(np.ones((hi - lo, hi - lo), dtype=bool), -1)
+        deflated[:, : hi - lo][lower] = rows[:, : hi - lo][lower]
+        rows[...] = deflated
+    diagonal += shift
+    try:
+        return _cholesky_succeeds(g.T)
+    finally:
+        diagonal[...] = saved
 
 
 def norm_lower_bound(m) -> float:
@@ -272,10 +424,9 @@ def psd_verdict(h, shift) -> bool | None:
     ``(1e-150, 1e150)``, where the factorization may underflow or overflow.
     """
     m = h.shape[0]
-    scale = float(np.linalg.norm(h)) + abs(float(shift))
-    if not 1e-150 < scale < 1e150:
+    mu = _psd_margin(m, float(np.linalg.norm(h)) + abs(float(shift)))
+    if mu is None:
         return None
-    mu = PSD_VERDICT_MARGIN * m * (m + 1) * np.finfo(np.float64).eps * scale
 
     def shifted(by):
         a = h.copy()  # C-contiguous, so ravel() is a view and [:: m + 1] its diagonal
@@ -289,9 +440,20 @@ def psd_verdict(h, shift) -> bool | None:
     return None
 
 
+def _psd_margin(m: int, scale: float) -> float | None:
+    """``PSD_VERDICT_MARGIN m (m + 1) eps scale``, or None for a scale outside ``(1e-150, 1e150)``."""
+    if not 1e-150 < scale < 1e150:
+        return None
+    return PSD_VERDICT_MARGIN * m * (m + 1) * _EPS * scale
+
+
 def require_contraction(m, name: str = "matrix") -> float:
     """Return ``||m||``; :class:`ValidationError` when it exceeds ``1 + CONTRACTION_TOL``."""
-    norm = operator_norm(m)
+    return refuse_expansion(operator_norm(m), name)
+
+
+def refuse_expansion(norm: float, name: str) -> float:
+    """Return ``norm``, the operator norm of ``name``; :class:`ValidationError` above ``1 + CONTRACTION_TOL``."""
     if norm > 1.0 + CONTRACTION_TOL:
         raise ValidationError(
             f"{name} must be a contraction, got operator norm {norm:.12g} "

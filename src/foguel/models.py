@@ -13,7 +13,7 @@ recorded rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +25,7 @@ from .linalg import (
     block2,
     hermitian_eigs,
     hermitian_eigvals,
+    norm_unless_below,
     operator_norm,
     require_agreement,
     require_contraction,
@@ -120,18 +121,33 @@ class FoguelOperator:
     The remaining cached properties do not depend on a positivity level, so
     a norm bisection computes each once per operator: ``gram_eigvals`` (the
     only 2n x 2n eigensolve), ``symbol_norm``, ``v_contraction_norm``, the
-    eigenpairs ``vv_eigs`` of ``V V*``, ``gram_corner`` and ``coupling``.  Every
-    property is computed on first access from ``v`` and ``t``, which must
-    not be mutated afterwards; the cached arrays are read-only.
+    eigenpairs ``vv_eigs`` of ``V V*``, ``gram_corner``, ``coupling``,
+    ``isometry_defect`` and ``isometry_excess``.  Every property is computed
+    on first access from ``v`` and ``t``, which must not be mutated
+    afterwards; the cached arrays are read-only.
     """
 
     v: np.ndarray
     t: np.ndarray
-    isometry_defect: float = field(default=0.0)
 
     @property
     def dim(self) -> int:
         return self.v.shape[0]
+
+    @cached_property
+    def isometry_defect(self) -> float:
+        """``||V* V - I||``, an order-n eigensolve run only where the defect is read."""
+        return operator_norm(_defect_matrix(self.v))
+
+    @cached_property
+    def isometry_excess(self) -> float | None:
+        """``||V* V - I||`` when it exceeds ``ISOMETRY_TOL``, else None.
+
+        :func:`~foguel.linalg.norm_unless_below` answers None without an
+        eigensolve whenever the defect is certainly within the tolerance.
+        """
+        defect = norm_unless_below(_defect_matrix(self.v), ISOMETRY_TOL)
+        return defect if defect is not None and defect > ISOMETRY_TOL else None
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -188,20 +204,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _defect_matrix(v: np.ndarray) -> np.ndarray:
+    return adjoint(v) @ v - np.eye(v.shape[0])
+
+
 def build_foguel(v, t, require_isometry: bool = True) -> FoguelOperator:
-    """Construct a :class:`FoguelOperator`, recording the isometry defect.
+    """Construct a :class:`FoguelOperator`.
 
     With ``require_isometry`` (the default) the defect ``||V* V - I||`` must
     not exceed ``1e-10``; pass ``False`` for contraction-slot experiments
-    such as the truncated shift, where the defect is part of the story.
+    such as the truncated shift, where the defect is part of the story and
+    ``isometry_defect`` reports it.
     """
     v, t = require_pair(v, t, ("V", "T"))
-    defect = operator_norm(adjoint(v) @ v - np.eye(v.shape[0]))
-    if require_isometry and defect > ISOMETRY_TOL:
+    op = FoguelOperator(v=v, t=t)
+    if require_isometry and op.isometry_excess is not None:
         raise ValidationError(
-            f"V is not an isometry: defect {defect:.3e} exceeds {ISOMETRY_TOL:.1e}"
+            f"V is not an isometry: defect {op.isometry_excess:.3e} exceeds {ISOMETRY_TOL:.1e}"
         )
-    return FoguelOperator(v=v, t=t, isometry_defect=defect)
+    return op
 
 
 def embed_corner(t, big_dim: int) -> np.ndarray:

@@ -88,10 +88,10 @@ class SpectralMapReport:
 
 
 def _require_unitary_slot(op: FoguelOperator, what: str) -> None:
-    if op.isometry_defect > ISOMETRY_TOL:
+    if op.isometry_excess is not None:
         raise ValidationError(
             f"{what} requires unitary V: isometry defect "
-            f"{op.isometry_defect:.3e} exceeds {ISOMETRY_TOL:.1e}"
+            f"{op.isometry_excess:.3e} exceeds {ISOMETRY_TOL:.1e}"
         )
 
 

@@ -512,7 +512,8 @@ def test_certified_skips_leave_report_bytes_unchanged(monkeypatch, power_max):
     configs = [
         ExperimentConfig(experiment, dim=dim, trials=3, seed=seed, power_max=power_max)
         for experiment in ("verify-power", "verify-inverses", "verify-spectrum",
-                           "verify-resolvent", "verify-polynomial", "verify-schur")
+                           "verify-resolvent", "verify-polynomial", "verify-schur",
+                           "verify-dilation")
         for dim in (1, 2, 3, 8, 24)
         for seed in (0, 7, 2024)
     ]

@@ -1,5 +1,7 @@
 """Matrix kernel tests against closed-form 2x2 and diagonal oracles."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,17 @@ from foguel import (
     SingularMatrixError,
     Tolerance,
     ValidationError,
+    ginibre,
     haar_unitary,
     hermitian_eigs,
+    lift_foguel,
+    linalg,
     multiset_match,
     operator_norm,
     psd_sqrt,
+    random_contraction,
     solve_inverse,
+    truncated_shift,
 )
 from foguel.errors import NotPositiveSemidefiniteError
 from foguel.linalg import (
@@ -249,8 +256,6 @@ def test_norm_unless_below_certifies_nothing_without_a_finite_limit():
 
 
 def test_require_agreement_leaves_overflowing_allowances_to_the_exact_check(monkeypatch):
-    from foguel import linalg
-
     formula, direct, m = 1e-3 * np.eye(2), np.zeros((2, 2)), np.diag([2.0, 1.0])
     exact, operator_norm = [], linalg.operator_norm
     monkeypatch.setattr(linalg, "operator_norm", lambda a: exact.append(a) or operator_norm(a))
@@ -361,3 +366,172 @@ def test_tolerance_validation():
         Tolerance(atol=0.0)
     with pytest.raises(ValidationError):
         Tolerance(atol=float("nan"))
+
+
+# --- the gap-certified Lanczos path of operator_norm -----------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+@contextlib.contextmanager
+def _lanczos_from(min_order: int = 8):
+    """``operator_norm`` takes the Lanczos path from ``min_order``; yields the orders ``eigvalsh`` ran at."""
+    calls = []
+    exact = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m)[-1])
+        return exact(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "LANCZOS_MIN_ORDER", min_order)
+        patch.setattr(np.linalg, "eigvalsh", counting)
+        yield calls
+
+
+def _with_singular_values(gen, sigma, right=None) -> np.ndarray:
+    """``U diag(sigma) V*`` for Haar ``U`` and ``V``; ``right`` replaces ``V``'s first column."""
+    n = len(sigma)
+    u = haar_unitary(n, gen)
+    v = haar_unitary(n, gen)
+    if right is not None:
+        q, r = np.linalg.qr(np.column_stack([right, v[:, 1:]]))
+        v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # first column is ``right`` itself
+    return (u * np.asarray(sigma, dtype=float)) @ adjoint(v)
+
+
+def _assert_norm_agrees(m) -> float:
+    """``operator_norm(m)`` within ``4 n eps ||m||`` of the SVD's largest singular value."""
+    value = operator_norm(m)
+    svd_norm = np.linalg.norm(m, 2)
+    assert abs(value - svd_norm) <= 4 * max(m.shape) * EPS * svd_norm
+    return value
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 40),
+    st.sampled_from(["general", "rank-one", "zero"]),
+    st.floats(-3.0, 3.0),
+)
+@settings(deadline=None, max_examples=100)
+def test_lanczos_norm_agrees_with_the_svd(seed, dim, kind, log_scale):
+    gen = SeededGenerator(seed)
+    if kind == "general":
+        m = gen.complex_gaussian(dim)
+    elif kind == "rank-one":
+        m = gen.complex_gaussian(dim, 1) @ gen.complex_gaussian(1, dim)
+    else:
+        m = np.zeros((dim, dim), dtype=np.complex128)
+    with _lanczos_from(8) as eigvalsh_orders:
+        _assert_norm_agrees(m * 10.0**log_scale)
+    if kind == "zero":  # the first Lanczos step breaks down
+        assert eigvalsh_orders == [dim]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(32, 48), st.floats(-3.0, 3.0))
+@settings(deadline=None, max_examples=25)
+def test_lanczos_norm_falls_back_on_two_top_singular_values_1e12_apart(seed, dim, log_scale):
+    # the Ritz gap is below psd_verdict's margin at these orders, so no
+    # Cholesky can prove it
+    gen = SeededGenerator(seed)
+    rest = np.sort(np.array([gen.uniform(0.0, 0.9) for _ in range(dim - 2)]))[::-1]
+    m = _with_singular_values(gen, [1.0, 1.0 - 1e-12, *rest]) * 10.0**log_scale
+    with _lanczos_from(8) as eigvalsh_orders:
+        _assert_norm_agrees(m)
+    assert eigvalsh_orders == [dim]
+
+
+@pytest.mark.parametrize("dim", [8, 64, 200])
+def test_lanczos_norm_falls_back_on_the_truncated_shift(dim):
+    # S* S = diag(1, ..., 1, 0): the top eigenvalue has no gap
+    with _lanczos_from(8) as eigvalsh_orders:
+        assert _assert_norm_agrees(truncated_shift(dim)) == 1.0
+    assert eigvalsh_orders == [dim]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lanczos_norm_falls_back_when_the_start_misses_the_top_singular_vector(seed):
+    # the Krylov space of the fixed start never holds the top right singular
+    # vector, so Lanczos settles on the second one and the certificate fails
+    dim = 96
+    gen = SeededGenerator(seed)
+    start = linalg._lanczos_start(dim)
+    w = gen.complex_gaussian(dim, 1)[:, 0]
+    right = w - np.vdot(start, w) * start
+    rest = [gen.uniform(0.0, 0.5) for _ in range(dim - 2)]
+    m = _with_singular_values(gen, [1.0, 0.999, *rest], right / np.linalg.norm(right))
+    assert abs(np.vdot(start, np.linalg.svd(m)[2][0].conj())) <= 1e-11  # eps / gap, the SVD's own error
+    with _lanczos_from(8) as eigvalsh_orders:
+        _assert_norm_agrees(m)
+    assert eigvalsh_orders == [dim]
+
+
+def test_lanczos_norm_is_bit_identical_to_eigvalsh_when_the_cholesky_fails(monkeypatch):
+    gen = SeededGenerator(17)
+    m = gen.complex_gaussian(24)
+    g = adjoint(m) @ m
+    today = float(np.sqrt(max(float(np.linalg.eigvalsh((g + adjoint(g)) / 2.0)[-1]), 0.0)))
+    factored = []
+    monkeypatch.setattr(linalg, "_cholesky_succeeds", lambda a: factored.append(a.shape) or False)
+    with _lanczos_from(8) as eigvalsh_orders:
+        assert operator_norm(m) == today
+    assert factored == [(24, 24)] and eigvalsh_orders == [24]
+
+
+def test_lanczos_breakdown_and_a_single_ritz_value_fall_back(monkeypatch):
+    n = 8
+    e1 = np.eye(n, dtype=np.complex128)[0]
+    monkeypatch.setattr(linalg, "_lanczos_start", lambda order: e1[:order].copy())
+    # g e_1 = 9 e_1 exactly: beta = 0 at the first step
+    m = np.diag(np.arange(n, 0, -1) / 8.0 * 3.0).astype(np.complex128)
+    g = adjoint(m) @ m
+    assert linalg._lanczos_top_eigenvalue(g.copy()).reason == "breakdown"
+    # g e_1 = e_1 + 1e-17 e_2: the first Ritz pair has converged, alone
+    h = np.eye(n, dtype=np.complex128)
+    h[0, 1] = h[1, 0] = 1e-17
+    top = linalg._lanczos_top_eigenvalue(h)
+    assert (top.reason, top.steps, top.value) == ("no-gap", 1, None)
+    with _lanczos_from(8) as eigvalsh_orders:
+        assert operator_norm(m) == 3.0
+    assert eigvalsh_orders == [n]
+
+
+def test_lanczos_norm_repeats_and_certifies_a_general_matrix():
+    m = SeededGenerator(29).complex_gaussian(40)
+    with _lanczos_from(8) as eigvalsh_orders:
+        first, second = operator_norm(m), operator_norm(m)
+    assert first == second and eigvalsh_orders == []
+
+
+def test_lanczos_certificate_factors_the_deflated_matrix_in_place(monkeypatch):
+    n = 10
+    gen = SeededGenerator(31)
+    z = gen.complex_gaussian(n)
+    g = (z @ adjoint(z) + adjoint(z @ adjoint(z))) / 2.0
+    x = gen.complex_gaussian(n, 1)[:, 0]
+    x /= np.linalg.norm(x)
+    y = g @ x
+    a = float(np.vdot(x, y).real)
+    q = np.eye(n) - np.outer(x, x.conj())
+    expected = 3.0 * np.eye(n) - q @ g @ q
+    before = g.copy()
+    seen = []
+    monkeypatch.setattr(linalg, "_CERTIFICATE_ROWS", 3)  # several row blocks
+    monkeypatch.setattr(linalg, "_cholesky_succeeds", lambda m: seen.append(m.copy()) or True)
+    assert linalg._deflation_factors(g, x, y - 0.5 * a * x, 3.0)
+    np.testing.assert_allclose(np.tril(seen[0]), np.tril(expected), atol=1e-12)
+    assert np.array_equal(np.tril(g), np.tril(before))  # lower triangle and diagonal as they were
+
+
+def test_lanczos_norm_runs_unpatched_at_order_1024():
+
+    assert linalg.LANCZOS_MIN_ORDER <= 1024
+    gen = SeededGenerator(3)
+    w = lift_foguel(random_contraction(256, gen), ginibre(256, gen)).matrix
+    g = adjoint(w) @ w
+    exact = float(np.sqrt(np.linalg.eigvalsh((g + adjoint(g)) / 2.0)[-1]))
+    with _lanczos_from(linalg.LANCZOS_MIN_ORDER) as eigvalsh_orders:
+        value = operator_norm(w)
+    assert eigvalsh_orders == []
+    assert abs(value - exact) <= 4 * 1024 * EPS * exact
