@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    InternalConsistencyError,
     NotPositiveSemidefiniteError,
     SingularMatrixError,
     ValidationError,
@@ -324,11 +323,6 @@ def _deflation_factors(g: np.ndarray, x: np.ndarray, z: np.ndarray, shift: float
         diagonal[...] = saved
 
 
-def norm_lower_bound(m) -> float:
-    """Largest column 2-norm of ``m``, a lower bound on ``||m||`` as ``||m e_j|| <= ||m||``."""
-    return float(np.max(np.linalg.norm(m, axis=0)))
-
-
 def _cholesky_succeeds(a) -> bool:
     """True when ``numpy.linalg.cholesky(a)`` succeeds with a finite factor."""
     try:
@@ -368,30 +362,6 @@ def norm_unless_below(x, limit) -> float | None:
         if 2.0 * max(float(np.linalg.norm(x)), 1e-150) <= limit or norm_certainly_below(x, limit):
             return None
     return operator_norm(x) if x.any() else 0.0
-
-
-def require_agreement(formula, direct, m, allowed, what: str) -> None:
-    """Raise unless ``||formula - direct|| <= allowed(||m||)``: the block-formula self-check.
-
-    For a non-decreasing ``allowed``, :func:`norm_unless_below` accepts
-    without an eigensolve when it certifies the residual below
-    ``allowed(norm_lower_bound(m))``; otherwise both operator norms are
-    computed exactly and a mismatch raises :class:`InternalConsistencyError`
-    reading ``"<what> by <dev> (allowed <bound>)"``.  Nothing is certified
-    when ``allowed`` is not finite at ``2 ||m||_F``, an upper bound on
-    ``||m||`` with room for rounding, so an allowance that overflows in the
-    exact check still raises its ``OverflowError`` there.
-    """
-    try:
-        finite = allowed(2.0 * float(np.linalg.norm(m))) < math.inf
-    except OverflowError:
-        finite = False
-    dev = norm_unless_below(formula - direct, allowed(norm_lower_bound(m)) if finite else None)
-    if dev is None:
-        return
-    bound = allowed(operator_norm(m))
-    if dev > bound:
-        raise InternalConsistencyError(f"{what} by {dev:.3e} (allowed {bound:.3e})")
 
 
 def psd_verdict(h, shift) -> bool | None:

@@ -27,7 +27,6 @@ from .linalg import (
     hermitian_eigvals,
     norm_unless_below,
     operator_norm,
-    require_agreement,
     require_contraction,
     require_index,
     require_pair,
@@ -35,9 +34,6 @@ from .linalg import (
 
 #: Isometry defect accepted by strict-mode construction.
 ISOMETRY_TOL = 1e-10
-
-#: Deviation allowed between the Gram block formula and the direct product.
-GRAM_SELFCHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,16 +111,17 @@ class FoguelOperator:
     """Validated pair ``(V, T)`` with cached block assembly and spectral data.
 
     ``matrix`` is the 2n x 2n block operator ``[[V*, T], [0, V]]`` and
-    ``gram`` its Gram operator ``matrix @ matrix*``, assembled from the
-    explicit block formula and self-checked against the direct product.
+    ``gram`` its Gram operator, the symmetrized product ``matrix @ matrix*``:
+    the direct route, which shares no block formula with the Schur route.
 
     The remaining cached properties do not depend on a positivity level, so
     a norm bisection computes each once per operator: ``gram_eigvals`` (the
     only 2n x 2n eigensolve), ``symbol_norm``, ``v_contraction_norm``, the
-    eigenpairs ``vv_eigs`` of ``V V*``, ``gram_corner``, ``coupling``,
-    ``isometry_defect`` and ``isometry_excess``.  Every property is computed
-    on first access from ``v`` and ``t``, which must not be mutated
-    afterwards; the cached arrays are read-only.
+    eigenpairs ``vv_eigs`` of ``V V*``, the Schur route's ``gram_corner``
+    and ``coupling``, and ``isometry_defect`` and ``isometry_excess``, both
+    read from one ``V* V - I``.  Every property is computed on first access
+    from ``v`` and ``t``, which must not be mutated afterwards; the cached
+    arrays other than ``matrix`` and ``gram`` are read-only.
     """
 
     v: np.ndarray
@@ -135,9 +132,14 @@ class FoguelOperator:
         return self.v.shape[0]
 
     @cached_property
+    def _defect_matrix(self) -> np.ndarray:
+        """``V* V - I``, formed once for ``isometry_defect`` and ``isometry_excess``."""
+        return _read_only(adjoint(self.v) @ self.v - np.eye(self.dim))
+
+    @cached_property
     def isometry_defect(self) -> float:
         """``||V* V - I||``, an order-n eigensolve run only where the defect is read."""
-        return operator_norm(_defect_matrix(self.v))
+        return operator_norm(self._defect_matrix)
 
     @cached_property
     def isometry_excess(self) -> float | None:
@@ -146,7 +148,7 @@ class FoguelOperator:
         :func:`~foguel.linalg.norm_unless_below` answers None without an
         eigensolve whenever the defect is certainly within the tolerance.
         """
-        defect = norm_unless_below(_defect_matrix(self.v), ISOMETRY_TOL)
+        defect = norm_unless_below(self._defect_matrix, ISOMETRY_TOL)
         return defect if defect is not None and defect > ISOMETRY_TOL else None
 
     @cached_property
@@ -155,23 +157,17 @@ class FoguelOperator:
 
     @cached_property
     def gram_corner(self) -> np.ndarray:
-        """``V* V + T T*``, the upper-left block of ``gram`` (``I + T T*`` for an isometry)."""
+        """``V* V + T T*``, the upper-left block of ``R R*`` (``I + T T*`` for an isometry).
+
+        Only the Schur route reads it; ``gram`` never does.
+        """
         return _read_only(adjoint(self.v) @ self.v + self.t @ adjoint(self.t))
 
     @cached_property
     def gram(self) -> np.ndarray:
-        v, t = self.v, self.t
-        vs = adjoint(v)
-        top_right = t @ vs
-        bottom_right = v @ vs
-        g = block2(self.gram_corner, top_right, adjoint(top_right), bottom_right)
-        g = (g + adjoint(g)) / 2.0
-        require_agreement(
-            g, self.matrix @ adjoint(self.matrix), self.matrix,
-            lambda norm: GRAM_SELFCHECK_TOL * (1.0 + norm**2),
-            "Gram block formula deviates from direct product",
-        )
-        return g
+        """``R R*`` as the product ``matrix @ matrix*``, made exactly Hermitian."""
+        g = self.matrix @ adjoint(self.matrix)
+        return (g + adjoint(g)) / 2.0
 
     @cached_property
     def gram_eigvals(self) -> np.ndarray:
@@ -202,10 +198,6 @@ class FoguelOperator:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _defect_matrix(v: np.ndarray) -> np.ndarray:
-    return adjoint(v) @ v - np.eye(v.shape[0])
 
 
 def build_foguel(v, t, require_isometry: bool = True) -> FoguelOperator:

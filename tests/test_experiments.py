@@ -459,12 +459,14 @@ def test_crash_exits_four_with_a_traceback(monkeypatch, capsys):
     [
         ("coupling", lambda value: np.zeros_like(value)),
         ("gram_eigvals", lambda value: value + 1e-3 * (1.0 + value[-1])),
+        ("gram_corner", lambda value: value + 1e-6 * np.eye(len(value))),
     ],
-    ids=["zero-coupling", "shifted-gram-spectrum"],
+    ids=["zero-coupling", "shifted-gram-spectrum", "shifted-corner"],
 )
 def test_schur_experiment_catches_a_corrupted_operator_cache(monkeypatch, cache, mutate):
-    # each route of the Schur positivity test reads its own cache; corrupting
-    # either must fail the report or raise (exit 3), never pass silently
+    # each route of the Schur positivity test reads its own cache, and the
+    # direct route's Gram product reads no Schur cache; corrupting any one
+    # must fail the report or raise (exit 3), never pass silently
     from foguel.errors import InternalConsistencyError
     from foguel.models import FoguelOperator
 
@@ -507,8 +509,8 @@ def test_reported_checks_run_few_eigensolves_of_order_2n(monkeypatch, experiment
 def test_certified_skips_leave_report_bytes_unchanged(monkeypatch, power_max):
     from foguel import experiments, linalg
 
-    # every experiment that reaches norm_unless_below, directly or through
-    # the block self-checks of require_agreement
+    # the experiments whose report bytes a norm_unless_below certificate,
+    # in a check or in building an operator, could change
     configs = [
         ExperimentConfig(experiment, dim=dim, trials=3, seed=seed, power_max=power_max)
         for experiment in ("verify-power", "verify-inverses", "verify-spectrum",
@@ -610,8 +612,8 @@ def test_power_bound_mutant_fails_with_the_certificates_active():
 
 
 def test_polynomial_trial_evaluates_p_of_r_once(monkeypatch):
-    # the runner's one Horner evaluation of R is the oracle of the block
-    # self-check, of the poly-formula check and of the norm bound
+    # the runner's one Horner evaluation of R is the oracle of the
+    # poly-formula check and of the norm bound
     from foguel.dilation import Polynomial
 
     original, shapes = Polynomial.at_matrix, []
@@ -627,7 +629,7 @@ def test_polynomial_trial_evaluates_p_of_r_once(monkeypatch):
 
 
 def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
-    # R^n is the runner's running product, passed to foguel_power's self-check
+    # R^n is the runner's running product, which power-formula-n compares with the block
     original, orders = np.linalg.matrix_power, []
 
     def counting(m, n):
@@ -646,9 +648,9 @@ def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
 def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatch):
     power, seen = dil.foguel_power, []
 
-    def recording(v, t, n, direct, previous):
-        block = power(v, t, n, direct, previous=previous)
-        seen.append((n, direct, previous, block))
+    def recording(v, t, n, previous):
+        block = power(v, t, n, previous=previous)
+        seen.append((n, previous, block))
         return block
 
     monkeypatch.setattr(dil, "foguel_power", recording)
@@ -656,9 +658,9 @@ def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatc
     assert run_experiment(config).passed
     assert [n for n, *_ in seen] == [*range(1, 7)] * 2
     before = None
-    for n, direct, previous, block in seen:
+    for n, previous, block in seen:
         # each call gets the block the previous call returned, never R^n
-        assert previous is (None if n == 1 else before) and previous is not direct
+        assert previous is (None if n == 1 else before)
         before = block
 
 

@@ -6,8 +6,13 @@ with no reason code, not a crash (exit 3 or 4) and not a pass.
 """
 
 import dataclasses
+import inspect
 import json
+import textwrap
 
+import numpy as np
+
+from foguel import dilation as dil
 from foguel import schur
 from foguel.cli import main
 
@@ -18,7 +23,17 @@ def _records(argv, capsys):
     return code, [json.loads(line) for line in lines]
 
 
+def _assert_every_trial_fails(argv, capsys):
+    code, records = _records(argv, capsys)
+    assert code == 1
+    trials, aggregate = records[:-1], records[-1]
+    assert not aggregate["pass"] and aggregate["pass_count"] == 0
+    assert all(not r["pass"] and r["reason"] == "" for r in trials)
+
+
 SCHUR_ARGV = ["verify-schur", "--dim", "8", "--trials", "20", "--seed", "5"]
+POWER_ARGV = ["verify-power", "--dim", "8", "--trials", "5", "--seed", "5"]
+POLYNOMIAL_ARGV = ["verify-polynomial", "--dim", "8", "--trials", "5", "--seed", "5"]
 
 
 def test_schur_route_norm_off_by_a_relative_1e_8_fails_verify_schur(monkeypatch, capsys):
@@ -32,8 +47,39 @@ def test_schur_route_norm_off_by_a_relative_1e_8_fails_verify_schur(monkeypatch,
         return dataclasses.replace(result, value=result.value * (1.0 + 1e-8))
 
     monkeypatch.setattr(schur, "norm_by_bisection", scaled)
-    code, records = _records(SCHUR_ARGV, capsys)
-    trials, aggregate = records[:-1], records[-1]
-    assert code == 1
-    assert not aggregate["pass"] and aggregate["pass_count"] == 0
-    assert all(not r["pass"] and r["reason"] == "" for r in trials)
+    _assert_every_trial_fails(SCHUR_ARGV, capsys)
+
+
+def test_power_step_with_a_shifted_offdiagonal_block_fails_verify_power(monkeypatch, capsys):
+    code, records = _records(POWER_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    original = dil._power_step
+
+    def shifted(a, t, previous):
+        block = original(a, t, previous)
+        k = a.shape[0]
+        block[:k, k:] += 1e-6 * np.eye(k)  # D_n + 1e-6 I
+        return block
+
+    monkeypatch.setattr(dil, "_power_step", shifted)
+    _assert_every_trial_fails(POWER_ARGV, capsys)
+
+
+def test_conjugated_upper_left_coefficients_fail_verify_polynomial(monkeypatch, capsys):
+    code, records = _records(POLYNOMIAL_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # sum_j conj(a_j) (A*)^j, the upper-left block of p(R) with the
+    # coefficients the power expansion does not give
+    source = textwrap.dedent(inspect.getsource(dil.poly_apply))
+    for right, wrong in (
+        ("upper_left = p.coeffs[0] *", "upper_left = p.coeffs[0].conjugate() *"),
+        ("upper_left += coeff *", "upper_left += coeff.conjugate() *"),
+    ):
+        assert source.count(right) == 1
+        source = source.replace(right, wrong)
+    namespace = dict(vars(dil))
+    exec(source, namespace)
+    monkeypatch.setattr(dil, "poly_apply", namespace["poly_apply"])
+    _assert_every_trial_fails(POLYNOMIAL_ARGV, capsys)
