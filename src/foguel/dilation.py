@@ -12,6 +12,7 @@ norm bounds for ``p(R)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ from .spectral import foguel_norm_closed
 BOUNDARY_SAMPLES = 4096
 
 NORM_BOUND_SLACK_TOL = 1e-8
+
+#: The ``BOUNDARY_SAMPLES`` roots of unity, built once and read-only.
+_BOUNDARY_POINTS = np.exp(2j * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES)
+_BOUNDARY_POINTS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,18 +71,36 @@ class Polynomial:
         return result
 
     def at_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Evaluate at a square matrix by Horner's scheme."""
+        """Evaluate at a square matrix by Paterson--Stockmeyer.
+
+        With ``s = isqrt(d)`` at degree ``d >= 1``, the powers ``m^2, ..., m^s``
+        are formed once, and Horner's scheme runs in ``m^s`` over chunks of
+        ``s`` coefficients, each chunk a linear combination of the powers
+        below ``m^s``; the top chunk takes the last 2 to ``s + 1``
+        coefficients, up to ``m^s``.  That is ``s - 1 + (d - 1) // s`` products, about
+        ``2 sqrt(d)`` against Horner's ``d`` (Paterson and Stockmeyer, SIAM J.
+        Comput. 2(1), 1973; Higham, *Functions of Matrices*, SIAM 2008, §4.2).
+        """
         m = require_square(m)
-        eye = np.eye(m.shape[0], dtype=np.complex128)
-        result = self.coeffs[-1] * eye
-        for c in reversed(self.coeffs[:-1]):
-            result = result @ m + c * eye
+        c, degree = self.coeffs, self.degree
+        s = max(math.isqrt(degree), 1)
+        powers = [np.eye(m.shape[0], dtype=np.complex128), m]
+        while len(powers) <= s:
+            powers.append(powers[-1] @ m)
+
+        def chunk(lo: int, hi: int) -> np.ndarray:
+            """``sum_{i=lo}^{hi} c_i m^(i - lo)``."""
+            return sum(c[i] * powers[i - lo] for i in range(lo, hi + 1))
+
+        top = (degree - 1) // s * s if degree else 0
+        result = chunk(top, degree)
+        for lo in range(top - s, -1, -s):
+            result = result @ powers[s] + chunk(lo, lo + s - 1)
         return result
 
     def boundary_sup(self) -> float:
-        """Max modulus over ``BOUNDARY_SAMPLES`` equispaced points of the unit circle."""
-        z = np.exp(2j * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES)
-        return float(np.max(np.abs(self(z))))
+        """Max modulus over the ``BOUNDARY_SAMPLES`` roots of unity, read from one shared grid."""
+        return float(np.max(np.abs(self(_BOUNDARY_POINTS))))
 
 
 def tilde_deriv_bound(p: Polynomial) -> float:
@@ -129,10 +152,13 @@ def lift_foguel(a, t) -> FoguelOperator:
     its symbol ``t`` pads ``T`` into the upper-right n x n block of a
     2n x 2n matrix (padding preserves the symbol norm exactly), ``matrix``
     is the 4n x 4n operator ``W`` and ``isometry_defect`` the dilation's
-    unitarity defect.
+    unitarity defect.  The dilation is unitary by construction, so the lift
+    is built without ``build_foguel``'s isometry check; the defect matrix is
+    formed only where ``isometry_defect`` is read (verify-dilation's
+    ``dilation-unitarity`` check).  A non-contraction ``A`` still raises.
     """
     a, t = require_pair(a, t, ("A", "T"))
-    return build_foguel(halmos_dilation(a), block2(None, t, None, None))
+    return build_foguel(halmos_dilation(a), block2(None, t, None, None), require_isometry=False)
 
 
 def _shaped_like(m, order: int, what: str):
@@ -180,30 +206,31 @@ def poly_apply(p: Polynomial, a, t) -> np.ndarray:
 
     Returns ``[[sum_j a_j (A*)^j, sum_{j>=1} a_j D_j], [0, p(A)]]``; note the
     upper-left block carries the original coefficients (not their
-    conjugates), which is what the power expansion forces.  The block is not
-    compared with a Horner evaluation of ``R`` here: verify-polynomial's
-    ``poly-formula`` check does that.
+    conjugates), which is what the power expansion forces.  It is formed as
+    ``(sum_j conj(a_j) A^j)*`` from the one chain of powers ``A^j`` that
+    ``p(A)`` and the ``D_j`` recursion read, so each degree costs three
+    order-n products.  The block is not compared with a direct evaluation
+    of ``R`` here: verify-polynomial's ``poly-formula`` check does that.
     """
     a, t = require_pair(a, t, ("A", "T"))
     dim = a.shape[0]
     a_star = adjoint(a)
 
-    upper_left = p.coeffs[0] * np.eye(dim, dtype=np.complex128)
-    lower_right = p.coeffs[0] * np.eye(dim, dtype=np.complex128)
+    eye = np.eye(dim, dtype=np.complex128)
+    conj_sum = p.coeffs[0].conjugate() * eye  # sum_j conj(a_j) A^j, the upper-left block's adjoint
+    lower_right = p.coeffs[0] * eye
     upper_right = np.zeros((dim, dim), dtype=np.complex128)
 
-    a_star_pow = np.eye(dim, dtype=np.complex128)
-    a_pow = np.eye(dim, dtype=np.complex128)
+    a_pow = eye
     offdiag = np.zeros((dim, dim), dtype=np.complex128)  # D_j, starting at D_0 = 0
-    for j, coeff in enumerate(p.coeffs[1:], start=1):
+    for coeff in p.coeffs[1:]:
         offdiag = a_star @ offdiag + t @ a_pow  # D_j from D_{j-1}
-        a_star_pow = a_star_pow @ a_star
         a_pow = a_pow @ a
-        upper_left += coeff * a_star_pow
+        conj_sum += coeff.conjugate() * a_pow
         lower_right += coeff * a_pow
         upper_right += coeff * offdiag
 
-    return block2(upper_left, upper_right, None, lower_right)
+    return block2(adjoint(conj_sum), upper_right, None, lower_right)
 
 
 @dataclass(frozen=True)
@@ -222,7 +249,7 @@ def verify_poly_bound(p: Polynomial, a, t, direct=None) -> PolyBoundReport:
     Requires ``sup_{|z|<=1} |p(z)| <= 1`` (estimated by dense boundary
     sampling); the bound is not asserted for unnormalized polynomials.
     ``||p(R)||`` is the norm of ``direct`` when the caller passes its own
-    ``p.at_matrix(R)``, and of a fresh Horner evaluation otherwise.
+    ``p.at_matrix(R)``, and of a fresh ``p.at_matrix(R)`` otherwise.
     Negative slack beyond ``1e-8`` raises :class:`BoundViolationError`.
     """
     a, t = require_pair(a, t, ("A", "T"))

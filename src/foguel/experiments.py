@@ -329,7 +329,7 @@ def _run_verify_polynomial(cfg: ExperimentConfig, gen, checks: _Checks):
     r = dil.generalized_foguel(a, t)
     r_norm = operator_norm(r)
 
-    # one direct Horner evaluation of the assembled R, the oracle of both checks
+    # one direct evaluation of p at the assembled R, the oracle of both checks
     direct = p.at_matrix(r)
     block = dil.poly_apply(p, a, t)
     growth = sum(abs(c) * (1.0 + r_norm) ** j for j, c in enumerate(p.coeffs))

@@ -351,15 +351,19 @@ def norm_certainly_below(m, bound) -> bool:
 def norm_unless_below(x, limit) -> float | None:
     """``operator_norm(x)``, or None when ``operator_norm(x) <= limit`` is certain without it.
 
-    Certain when ``2 ||x||_F <= limit`` (the factor 2 bounds the computed
-    ``||x||_2`` with room for rounding; ``||x||_F`` is floored at 1e-150,
-    below which its sum of squares may underflow) or when
-    :func:`norm_certainly_below` holds.  A limit of None, NaN or inf
-    certifies nothing.  A zero ``x`` that is not certified is ``0.0``
-    without an eigensolve.
+    Certain when ``||x||_F <= limit (1 - NORM_CERTIFICATE_MARGIN)`` or when
+    :func:`norm_certainly_below` holds.  The Frobenius test is exact in
+    real arithmetic, as ``||x||_2 <= ||x||_F``; at order ``m`` the computed
+    ``||x||_F`` and the ``operator_norm`` it stands for each carry a
+    relative rounding error of about ``m eps``, far inside the certificate's
+    margin of ``1e-8`` at every order the package runs.  ``||x||_F`` is
+    floored at 1e-150, below which its sum of squares may underflow.  A
+    limit of None, NaN or inf certifies nothing.  A zero ``x`` that is not
+    certified is ``0.0`` without an eigensolve.
     """
     if limit is not None and limit < math.inf:
-        if 2.0 * max(float(np.linalg.norm(x)), 1e-150) <= limit or norm_certainly_below(x, limit):
+        level = limit * (1.0 - NORM_CERTIFICATE_MARGIN)
+        if max(float(np.linalg.norm(x)), 1e-150) <= level or norm_certainly_below(x, limit):
             return None
     return operator_norm(x) if x.any() else 0.0
 

@@ -58,6 +58,57 @@ def test_polynomial_evaluation():
     np.testing.assert_allclose(p.at_matrix(np.eye(2)), 2.0 * np.eye(2), atol=1e-15)
 
 
+class _CountingMatrix(np.ndarray):
+    """An ndarray that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        _CountingMatrix.products += 1
+        return super().__rmatmul__(other)
+
+
+def _horner(p, m):
+    """Reference evaluation of ``p`` at ``m`` by Horner's scheme, one product per degree."""
+    result = np.zeros_like(m)
+    for c in reversed(p.coeffs):
+        result = result @ m + c * np.eye(m.shape[0])
+    return result
+
+
+@pytest.mark.parametrize("degree, products", [(0, 0), (1, 0), (2, 1), (8, 4), (32, 10)])
+def test_at_matrix_takes_about_two_sqrt_degree_products(monkeypatch, degree, products):
+    from foguel import dilation
+
+    gen = SeededGenerator(60 + degree)
+    p = Polynomial(gen.complex_gaussian(1, degree + 1)[0])
+    m = ginibre(6, gen) / 6.0
+    # the validated matrix at_matrix computes with is a counting view of m
+    original = dilation.require_square
+    monkeypatch.setattr(
+        dilation, "require_square", lambda x, *args: original(x, *args).view(_CountingMatrix)
+    )
+    _CountingMatrix.products = 0
+    p.at_matrix(m)
+    assert _CountingMatrix.products == products <= 2.0 * np.sqrt(degree)
+
+
+@pytest.mark.parametrize("degree", [*range(0, 20), 31, 32, 33, 48, 49, 50])
+def test_at_matrix_matches_horner_at_every_degree(degree):
+    # every chunk layout of Paterson--Stockmeyer: s = isqrt(degree) dividing
+    # degree, degree - 1 or neither, and a top chunk of 2 to s + 1 coefficients
+    gen = SeededGenerator(100 + degree)
+    p = Polynomial(gen.complex_gaussian(1, degree + 1)[0])
+    m = ginibre(5, gen) / 5.0
+    reference = _horner(p, m)
+    error = np.abs(p.at_matrix(m) - reference).max()
+    assert error <= 1e-13 * max(1.0, np.abs(reference).max())
+
+
 def test_polynomial_boundary_sup_monomial():
     assert Polynomial([0.0, 0.0, 1.0]).boundary_sup() == pytest.approx(1.0, abs=1e-12)
 
@@ -136,6 +187,14 @@ def test_lift_zero_contraction_hand_assembled():
     )
     np.testing.assert_allclose(lift.matrix, expected, atol=1e-15)
     assert lift.isometry_defect <= 1e-12
+
+
+def test_lift_forms_its_defect_matrix_only_where_the_defect_is_read():
+    gen = SeededGenerator(35)
+    lift = lift_foguel(random_contraction(4, gen), ginibre(4, gen))
+    assert "_defect_matrix" not in vars(lift)
+    assert lift.isometry_defect <= 1e-12
+    assert "_defect_matrix" in vars(lift)
 
 
 def test_compress_scalar_fixture():

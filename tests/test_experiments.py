@@ -541,6 +541,19 @@ def test_power_overflow_is_still_one_failed_trial(capsys):
     assert aggregate["pass_count"] == 0
 
 
+def test_polynomial_overflow_is_still_a_failed_trial_each(capsys):
+    # the growth factor (1 + ||R||)^400 of poly-formula overflows a float
+    code, out, _ = run_cli(
+        ["verify-polynomial", "--dim", "64", "--trials", "2", "--seed", "3",
+         "--poly-degree", "400"], capsys
+    )
+    *records, aggregate = (json.loads(line) for line in out.strip().split("\n"))
+    assert code == 1
+    assert len(records) == 2
+    assert all(r["reason"] == "overflow" and r["deviation"] is None for r in records)
+    assert aggregate["pass_count"] == 0
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=100)
 def test_checks_ratio_with_skips_equals_the_all_exact_ratio(data):
@@ -612,7 +625,7 @@ def test_power_bound_mutant_fails_with_the_certificates_active():
 
 
 def test_polynomial_trial_evaluates_p_of_r_once(monkeypatch):
-    # the runner's one Horner evaluation of R is the oracle of the
+    # the runner's one direct evaluation of p(R) is the oracle of the
     # poly-formula check and of the norm bound
     from foguel.dilation import Polynomial
 

@@ -26,14 +26,14 @@ LEDGER = {
     },
     "verify-inverses": {
         ("qr", 16): 1, ("eigvalsh", 16): 1, ("svd", 16): 2, ("solve", 16): 1,
-        ("eigvalsh", 32): 1, ("cholesky", 32): 1,
+        ("eigvalsh", 32): 1,
     },
     "verify-dilation": {
         ("eigvalsh", 16): 1, ("svd", 16): 2,
         ("eigvalsh", 32): 1, ("cholesky", 32): 1,
         ("eigvalsh", 64): 1,
     },
-    "verify-power": {("qr", 16): 1, ("eigvalsh", 16): 1, ("eigvalsh", 32): 1, ("cholesky", 32): 10},
+    "verify-power": {("qr", 16): 1, ("eigvalsh", 16): 1, ("eigvalsh", 32): 1, ("cholesky", 32): 4},
     "verify-polynomial": {("eigvalsh", 16): 2, ("svd", 16): 1, ("eigvalsh", 32): 3},
     "verify-schur": {
         ("qr", 16): 1, ("eigvalsh", 16): 4, ("eigh", 16): 6, ("cholesky", 16): 10,

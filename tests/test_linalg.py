@@ -26,6 +26,7 @@ from foguel import (
 )
 from foguel.errors import NotPositiveSemidefiniteError
 from foguel.linalg import (
+    NORM_CERTIFICATE_MARGIN,
     PSD_VERDICT_MARGIN,
     adjoint,
     norm_certainly_below,
@@ -212,8 +213,13 @@ def test_norm_unless_below_certifies_only_a_true_bound(seed, dim, extremal, marg
     x = _matrix_draw(seed, dim, extremal)
     x = x * 10.0**log_scale
     exact = operator_norm(x)
-    # a limit at the Frobenius acceptance threshold when margin == 1
-    limit = margin * 2.0 * np.linalg.norm(x)
+    # the Frobenius acceptance threshold, stepped up by ulps until accepted,
+    # so margin == 1 is its boundary
+    frobenius = max(float(np.linalg.norm(x)), 1e-150)
+    threshold = frobenius / (1.0 - NORM_CERTIFICATE_MARGIN)
+    while threshold * (1.0 - NORM_CERTIFICATE_MARGIN) < frobenius:
+        threshold = np.nextafter(threshold, np.inf)
+    limit = margin * threshold
     norm = norm_unless_below(x, limit)
     if norm is None:
         assert exact <= limit
@@ -223,6 +229,19 @@ def test_norm_unless_below_certifies_only_a_true_bound(seed, dim, extremal, marg
         assert norm is None
     # a limit just below the norm is never certified, rank one included
     assert norm_unless_below(x, exact * (1.0 - 1e-6)) == exact
+
+
+@pytest.mark.parametrize("extremal", [False, True], ids=["general", "rank-one"])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_the_frobenius_test_accepts_exactly_at_the_certificate_margin(monkeypatch, dim, extremal):
+    # with the Cholesky certificate off, only ||x||_F <= limit (1 - margin) certifies
+    monkeypatch.setattr(linalg, "norm_certainly_below", lambda x, bound: False)
+    x = _matrix_draw(40 + dim, dim, extremal)
+    exact = operator_norm(x)
+    threshold = float(np.linalg.norm(x)) / (1.0 - NORM_CERTIFICATE_MARGIN)
+    eps = np.finfo(float).eps
+    assert norm_unless_below(x, threshold * (1.0 + 4.0 * eps)) is None
+    assert norm_unless_below(x, threshold * (1.0 - 4.0 * eps)) == exact
 
 
 def test_norm_unless_below_certifies_nothing_without_a_finite_limit():

@@ -11,6 +11,7 @@ import json
 import textwrap
 
 import numpy as np
+import pytest
 
 from foguel import dilation as dil
 from foguel import schur
@@ -66,20 +67,45 @@ def test_power_step_with_a_shifted_offdiagonal_block_fails_verify_power(monkeypa
     _assert_every_trial_fails(POWER_ARGV, capsys)
 
 
-def test_conjugated_upper_left_coefficients_fail_verify_polynomial(monkeypatch, capsys):
-    code, records = _records(POLYNOMIAL_ARGV, capsys)
-    assert code == 0 and records[-1]["pass"]
-
-    # sum_j conj(a_j) (A*)^j, the upper-left block of p(R) with the
-    # coefficients the power expansion does not give
-    source = textwrap.dedent(inspect.getsource(dil.poly_apply))
-    for right, wrong in (
-        ("upper_left = p.coeffs[0] *", "upper_left = p.coeffs[0].conjugate() *"),
-        ("upper_left += coeff *", "upper_left += coeff.conjugate() *"),
-    ):
+def _mutant(function, edits: tuple) -> dict:
+    """The namespace of ``function``'s source with each ``(right, wrong)`` edit made once."""
+    source = textwrap.dedent(inspect.getsource(function))
+    for right, wrong in edits:
         assert source.count(right) == 1
         source = source.replace(right, wrong)
     namespace = dict(vars(dil))
     exec(source, namespace)
+    return namespace
+
+
+def test_conjugated_upper_left_coefficients_fail_verify_polynomial(monkeypatch, capsys):
+    code, records = _records(POLYNOMIAL_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # (sum_j a_j A^j)* = sum_j conj(a_j) (A*)^j, the upper-left block of
+    # p(R) with the coefficients the power expansion does not give
+    namespace = _mutant(dil.poly_apply, (
+        ("conj_sum = p.coeffs[0].conjugate() *", "conj_sum = p.coeffs[0] *"),
+        ("conj_sum += coeff.conjugate() *", "conj_sum += coeff *"),
+    ))
     monkeypatch.setattr(dil, "poly_apply", namespace["poly_apply"])
+    _assert_every_trial_fails(POLYNOMIAL_ARGV, capsys)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # Horner in m^(s-1) instead of m^s
+        ("result @ powers[s] +", "result @ powers[s - 1] +"),
+        # every chunk below the top one drops its last coefficient
+        ("chunk(lo, lo + s - 1)", "chunk(lo, lo + s - 2)"),
+    ],
+    ids=["horner-step-by-m-to-the-s-minus-1", "chunk-drops-its-last-coefficient"],
+)
+def test_paterson_stockmeyer_mutants_fail_verify_polynomial(monkeypatch, capsys, edit):
+    code, records = _records(POLYNOMIAL_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    namespace = _mutant(dil.Polynomial.at_matrix, (edit,))
+    monkeypatch.setattr(dil.Polynomial, "at_matrix", namespace["at_matrix"])
     _assert_every_trial_fails(POLYNOMIAL_ARGV, capsys)
