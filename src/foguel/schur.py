@@ -44,6 +44,13 @@ NEWTON_STOP_ULPS = 16
 #: Levels :func:`norm_by_bisection` evaluates at most before its closing certificate.
 MAX_ITERATIONS = 60
 
+#: :func:`norm_by_bisection` starts at the closed-form norm times ``1 + START_OFFSET``:
+#: near enough that the first Newton step lands within about ``START_OFFSET**2``
+#: of the norm, and far enough that the first level's ``f >= 2 START_OFFSET M^2``
+#: is at least 100 singular bands ``1e-10 (1 + M^2)`` above zero and a start
+#: left unmoved is farther than verify-schur's 1e-10 from the closed form.
+START_OFFSET = 1e-8
+
 
 def _complement(p, y, d) -> np.ndarray:
     """Schur complement ``P - X Q^{-1} X*`` from the eigenpairs ``Q = U diag(d) U*``.
@@ -219,13 +226,19 @@ def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
     with the Hellmann-Feynman slope
     ``f'(M) = 2M (1 + sum_k |(Y* x)_k|^2 / (M^2 - w_k)^2)`` for the bottom
     eigenvector ``x``, ``Y = op.coupling`` and ``w`` the eigenvalues of
-    ``V V*``.  It starts at the closed-form norm plus one, where positivity
-    must hold; the positivity verdict at each level narrows the bracket
-    ``(1 + LEVEL_MARGIN, closed + 1]``, and a step that would leave it,
-    unless it is shorter than the singular band ``threshold / f'(M)``,
-    becomes a bisection step.  A step of at most ``NEWTON_STOP_ULPS`` ulps
-    ends the iteration, which reads the closed form for the start alone and
-    never reads the Gram spectrum.
+    ``V V*``.  It starts at ``closed * (1 + START_OFFSET)``, just above the
+    closed-form norm, where positivity must hold: a failed verdict there
+    raises :class:`InternalConsistencyError`.  That start is the upper end
+    of the bracket ``(1 + LEVEL_MARGIN, closed * (1 + START_OFFSET)]``,
+    which the positivity verdict at each level narrows.  Beyond the
+    singular band ``threshold / f'(M)`` a verdict fixes the sign of ``f``:
+    a failed one demands a step below ``-band``, a held one a step of at
+    least ``-band``.  A step that contradicts its verdict becomes a
+    bisection step and cannot end the iteration; so does a step that would
+    leave the bracket, unless it is shorter than the band.  Otherwise a
+    step of at most ``NEWTON_STOP_ULPS`` ulps ends the iteration, after two
+    levels for the experiments' draws.  It reads the closed form for the
+    start alone and never reads the Gram spectrum.
 
     Positivity must then fail at ``value - tol.atol / 2`` and hold at
     ``value + tol.atol / 2``, or :class:`InternalConsistencyError` is
@@ -241,7 +254,7 @@ def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
         )
 
     w, _ = op.vv_eigs
-    lower, upper = 1.0 + LEVEL_MARGIN, closed + 1.0
+    lower, upper = 1.0 + LEVEL_MARGIN, closed * (1.0 + START_OFFSET)
     level = upper
     for iterations in range(1, MAX_ITERATIONS + 1):
         cert = foguel_positivity(op, level)
@@ -259,6 +272,12 @@ def norm_by_bisection(op: FoguelOperator, tol: Tolerance) -> NormBisection:
         slope = 2.0 * level * (1.0 + float(np.sum(np.abs(y) ** 2 / (level**2 - w) ** 2)))
         step = float(eigvals[0]) / slope
         band = cert.threshold / slope
+        # beyond the singular band the verdict fixes the sign of f, so a step
+        # that contradicts it is wrong: it becomes a bisection step and cannot
+        # end the iteration
+        if (step < -band) == cert.positive:
+            level = (lower + upper) / 2.0
+            continue
         level -= step
         if abs(step) <= NEWTON_STOP_ULPS * np.spacing(level):
             break

@@ -36,7 +36,7 @@ LEDGER = {
     "verify-power": {("qr", 16): 1, ("eigvalsh", 16): 1, ("eigvalsh", 32): 1, ("cholesky", 32): 4},
     "verify-polynomial": {("eigvalsh", 16): 2, ("svd", 16): 1, ("eigvalsh", 32): 3},
     "verify-schur": {
-        ("qr", 16): 1, ("eigvalsh", 16): 4, ("eigh", 16): 6, ("cholesky", 16): 10,
+        ("qr", 16): 1, ("eigvalsh", 16): 4, ("eigh", 16): 3, ("cholesky", 16): 7,
         ("eigvalsh", 32): 1,
     },
     "shift-convergence": {

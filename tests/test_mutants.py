@@ -2,7 +2,9 @@
 
 A mutant is put in with ``monkeypatch`` and run through the CLI, so the
 test sees what a user would: exit code 1 and ``"pass": false`` records
-with no reason code, not a crash (exit 3 or 4) and not a pass.
+with no reason code, not a crash (exit 4) and not a pass.  Exit 3 is
+pinned only where the library's own certificate refuses the mutant's
+result as an internal consistency error.
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ def _assert_every_trial_fails(argv, capsys):
     trials, aggregate = records[:-1], records[-1]
     assert not aggregate["pass"] and aggregate["pass_count"] == 0
     assert all(not r["pass"] and r["reason"] == "" for r in trials)
+    return records
 
 
 SCHUR_ARGV = ["verify-schur", "--dim", "8", "--trials", "20", "--seed", "5"]
@@ -73,7 +76,7 @@ def _mutant(function, edits: tuple) -> dict:
     for right, wrong in edits:
         assert source.count(right) == 1
         source = source.replace(right, wrong)
-    namespace = dict(vars(dil))
+    namespace = dict(vars(inspect.getmodule(function)))
     exec(source, namespace)
     return namespace
 
@@ -109,3 +112,23 @@ def test_paterson_stockmeyer_mutants_fail_verify_polynomial(monkeypatch, capsys,
     namespace = _mutant(dil.Polynomial.at_matrix, (edit,))
     monkeypatch.setattr(dil.Polynomial, "at_matrix", namespace["at_matrix"])
     _assert_every_trial_fails(POLYNOMIAL_ARGV, capsys)
+
+
+def test_newton_iteration_that_never_moves_fails_verify_schur(monkeypatch, capsys):
+    argv = ["verify-schur", "--dim", "3", "--trials", "20", "--seed", "5"]
+    code, records = _records(argv, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # the value stays at the start, closed * (1 + START_OFFSET): at dim 3 the
+    # offset lies inside the certified bracket and bisection-vs-closed reads
+    # it, at dim 8 it exceeds tol.atol / 2 and the closing certificate refuses
+    namespace = _mutant(schur.norm_by_bisection, (
+        ("step = float(eigvals[0]) / slope", "step = 0.0"),
+    ))
+    monkeypatch.setattr(schur, "norm_by_bisection", namespace["norm_by_bisection"])
+    records = _assert_every_trial_fails(argv, capsys)
+    base = records[-1]["config"]["tol"]
+    assert all(r["deviation"] >= base * schur.START_OFFSET / 1e-10 for r in records)
+
+    assert main(SCHUR_ARGV) == 3
+    assert "positivity holds at the lower end" in capsys.readouterr().err
