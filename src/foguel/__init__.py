@@ -10,7 +10,6 @@ Schur-complement positivity characterization of the norm.
 
 from .dilation import (
     Polynomial,
-    PolyBoundReport,
     foguel_power,
     generalized_foguel,
     halmos_dilation,
@@ -20,7 +19,6 @@ from .dilation import (
     verify_poly_bound,
 )
 from .errors import (
-    BoundViolationError,
     FoguelError,
     InternalConsistencyError,
     NotPositiveSemidefiniteError,
@@ -30,18 +28,11 @@ from .errors import (
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    ExperimentReport,
-    TrialRecord,
     emit_report,
     run_experiment,
-    write_report,
 )
 from .linalg import (
-    MultisetComparison,
     Tolerance,
-    adjoint,
-    hermitian_eigs,
-    hermitian_eigvals,
     multiset_match,
     operator_norm,
     psd_sqrt,
@@ -58,16 +49,12 @@ from .models import (
     truncated_shift,
 )
 from .schur import (
-    NormBisection,
-    PositivityCertificate,
     foguel_positivity,
     neumann_eval,
     norm_by_bisection,
     scalar_criterion,
 )
 from .spectral import (
-    ResolventBlocks,
-    SpectralMapReport,
     forward_map,
     foguel_gram_inverse,
     foguel_inverse,
@@ -82,27 +69,17 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolationError",
     "EXPERIMENTS",
     "ExperimentConfig",
-    "ExperimentReport",
     "FoguelError",
     "FoguelOperator",
     "InternalConsistencyError",
-    "MultisetComparison",
-    "NormBisection",
     "NotPositiveSemidefiniteError",
-    "PolyBoundReport",
     "Polynomial",
-    "PositivityCertificate",
-    "ResolventBlocks",
     "SeededGenerator",
     "SingularMatrixError",
-    "SpectralMapReport",
     "Tolerance",
-    "TrialRecord",
     "ValidationError",
-    "adjoint",
     "build_foguel",
     "embed_corner",
     "emit_report",
@@ -117,8 +94,6 @@ __all__ = [
     "gram_minus_identity_inverse",
     "haar_unitary",
     "halmos_dilation",
-    "hermitian_eigs",
-    "hermitian_eigvals",
     "inverse_branches",
     "lift_foguel",
     "multiset_match",
@@ -137,5 +112,4 @@ __all__ = [
     "truncated_shift",
     "verify_poly_bound",
     "verify_spectral_mapping",
-    "write_report",
 ]

@@ -34,19 +34,6 @@ class NotPositiveSemidefiniteError(FoguelError, ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class BoundViolationError(FoguelError, ArithmeticError):
-    """A proved operator inequality was observed numerically violated.
-
-    Raised with both sides of the inequality attached; seeing this error on
-    valid input means a bug in the surrounding algebra, not bad luck.
-    """
-
-    def __init__(self, message, value=None, bound=None):
-        super().__init__(message)
-        self.value = value
-        self.bound = bound
-
-
 class InternalConsistencyError(FoguelError, RuntimeError):
     """Two routes to the same quantity disagreed beyond tolerance.
 

@@ -8,6 +8,13 @@ when its answer is certain, and at large orders a gap-certified Lanczos
 iteration replaces the operator norm's eigensolve.  All public functions
 are pure: inputs are never mutated and no module state exists, so
 concurrent use is safe.
+
+The functions ``foguel`` exports (``operator_norm``, ``psd_sqrt``,
+``solve_inverse``, ``multiset_match``) validate their array arguments.
+The kernels (``hermitian_eigs``, ``hermitian_eigvals``, ``psd_verdict``,
+the norm certificates) trust theirs: their callers pass the arrays they
+have already validated or built, and an exactly Hermitian matrix where
+one is required.
 """
 
 from __future__ import annotations
@@ -37,9 +44,6 @@ RCOND_FLOOR = 1e-12
 
 #: Operator norm excess tolerated when validating a contraction.
 CONTRACTION_TOL = 1e-10
-
-#: Relative margin by which :func:`norm_certainly_below` lowers its bound.
-NORM_CERTIFICATE_MARGIN = 1e-8
 
 #: The constant ``c`` of :func:`psd_verdict`'s margin ``c m (m + 1) eps (||h||_F + |shift|)``.
 PSD_VERDICT_MARGIN = 4.0
@@ -81,11 +85,6 @@ def as_matrix(m) -> np.ndarray:
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
-
-
-def max_asymmetry(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its own adjoint."""
-    return float(np.max(np.abs(m - adjoint(m))))
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -143,7 +142,7 @@ def require_hermitian(m) -> np.ndarray:
     that exceeds ``HERMITIAN_ATOL``.
     """
     m = require_square(m, "hermitian matrix")
-    asym = max_asymmetry(m)
+    asym = float(np.max(np.abs(m - adjoint(m))))
     if asym > HERMITIAN_ATOL:
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.1e}"
@@ -151,13 +150,11 @@ def require_hermitian(m) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def hermitian_eigs(m):
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eigs(h: np.ndarray):
+    """Eigendecomposition of an exactly Hermitian ndarray ``h``, as :func:`psd_verdict` takes.
 
-    Parameters
-    ----------
-    m : array_like
-        Square Hermitian matrix (validated to ``HERMITIAN_ATOL`` max asymmetry).
+    ``h`` is not validated: callers symmetrize a product as ``(m + m*)/2``
+    before passing it.
 
     Returns
     -------
@@ -165,9 +162,8 @@ def hermitian_eigs(m):
         Eigenvalues in ascending order.
     u : ndarray of complex
         Orthonormal eigenvectors, column ``u[:, i]`` belonging to ``w[i]``,
-        so that ``m = u @ diag(w) @ u*``.
+        so that ``h = u @ diag(w) @ u*``.
     """
-    h = require_hermitian(m)
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -175,9 +171,9 @@ def hermitian_eigs(m):
     return w, u
 
 
-def hermitian_eigvals(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    return np.linalg.eigvalsh(require_hermitian(m))
+def hermitian_eigvals(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly Hermitian ndarray ``h``; no eigenvectors, no checks."""
+    return np.linalg.eigvalsh(h)
 
 
 def operator_norm(m) -> float:
@@ -335,35 +331,45 @@ def norm_certainly_below(m, bound) -> bool:
     """True only when ``operator_norm(m) <= bound`` is certain, decided by one Cholesky.
 
     ``||m|| <= M`` exactly when ``M^2 I - m m*`` is positive semidefinite.
-    The factorization of ``(M (1 - 1e-8))^2 I - m m*`` succeeds only when
-    that matrix is positive definite up to rounding of order
-    ``n eps ||m||^2``, which the margin absorbs.  False decides nothing and
-    the caller runs its exact check; it is also the answer when the lowered
-    bound lies outside ``(1e-150, 1e150)`` (so NaN and inf included) or the
-    factor is not finite.
+    The factorization of ``(M^2 - mu) I - m m*``, with ``mu`` the margin
+    :func:`psd_verdict` takes at the scale ``||m m*||_F + M^2``, succeeds
+    only when ``M^2 I - m m*`` is positive semidefinite: ``mu`` covers the
+    rounding of the product and of the factorization.  False decides
+    nothing and the caller runs its exact check; it is also the answer when
+    the bound is not positive and finite, the scale lies outside
+    ``(1e-150, 1e150)`` (so NaN and inf included) or the factor is not
+    finite.
     """
-    level = float(bound) * (1.0 - NORM_CERTIFICATE_MARGIN)
-    if not 1e-150 < level < 1e150:
+    bound = float(bound)
+    if not 0.0 < bound < math.inf:
         return False
-    return _cholesky_succeeds(level * level * np.eye(m.shape[0]) - m @ adjoint(m))
+    gram = m @ adjoint(m)
+    square = bound * bound
+    mu = _psd_margin(m.shape[0], float(np.linalg.norm(gram)) + square)
+    if mu is None:
+        return False
+    return _cholesky_succeeds((square - mu) * np.eye(m.shape[0]) - gram)
 
 
 def norm_unless_below(x, limit) -> float | None:
     """``operator_norm(x)``, or None when ``operator_norm(x) <= limit`` is certain without it.
 
-    Certain when ``||x||_F <= limit (1 - NORM_CERTIFICATE_MARGIN)`` or when
+    Certain when ``||x||_F^2 + mu <= limit^2``, with ``mu`` the margin of
+    :func:`psd_verdict` at the scale ``||x||_F^2 + limit^2``, or when
     :func:`norm_certainly_below` holds.  The Frobenius test is exact in
     real arithmetic, as ``||x||_2 <= ||x||_F``; at order ``m`` the computed
-    ``||x||_F`` and the ``operator_norm`` it stands for each carry a
-    relative rounding error of about ``m eps``, far inside the certificate's
-    margin of ``1e-8`` at every order the package runs.  ``||x||_F`` is
-    floored at 1e-150, below which its sum of squares may underflow.  A
-    limit of None, NaN or inf certifies nothing.  A zero ``x`` that is not
-    certified is ``0.0`` without an eigensolve.
+    ``||x||_F^2`` and the ``operator_norm`` it stands for each carry a
+    relative rounding error of about ``m eps``, inside ``mu``.  ``||x||_F^2``
+    bounds ``||x x*||_F``, so ``mu`` is at least the certificate's own.  A
+    limit of None, NaN, inf or one that is not positive certifies nothing,
+    and so does a scale outside ``(1e-150, 1e150)``, where the sum of
+    squares may underflow.  A zero ``x`` that is not certified is ``0.0``
+    without an eigensolve.
     """
-    if limit is not None and limit < math.inf:
-        level = limit * (1.0 - NORM_CERTIFICATE_MARGIN)
-        if max(float(np.linalg.norm(x)), 1e-150) <= level or norm_certainly_below(x, limit):
+    if limit is not None and 0.0 < limit < math.inf:
+        fro_sq = float(np.linalg.norm(x)) ** 2
+        mu = _psd_margin(x.shape[0], fro_sq + limit * limit)
+        if mu is not None and (fro_sq + mu <= limit * limit or norm_certainly_below(x, limit)):
             return None
     return operator_norm(x) if x.any() else 0.0
 
@@ -444,7 +450,7 @@ def psd_sqrt(p) -> np.ndarray:
     result ``s`` is exactly Hermitian and satisfies ``s @ s == p`` up to
     ``1e-9 * (1 + ||p||)``.
     """
-    w, u = hermitian_eigs(p)
+    w, u = hermitian_eigs(require_hermitian(p))
     wmin = float(w[0])
     if wmin < PSD_FLOOR:
         raise NotPositiveSemidefiniteError(

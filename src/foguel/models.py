@@ -187,7 +187,8 @@ class FoguelOperator:
     @cached_property
     def vv_eigs(self) -> tuple:
         """Eigenpairs ``(w, U)`` of ``V V* = U diag(w) U*``, ``w`` ascending."""
-        return tuple(_read_only(a) for a in hermitian_eigs(self.v @ adjoint(self.v)))
+        vv = self.v @ adjoint(self.v)
+        return tuple(_read_only(a) for a in hermitian_eigs((vv + adjoint(vv)) / 2.0))
 
     @cached_property
     def coupling(self) -> np.ndarray:

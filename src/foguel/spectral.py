@@ -109,7 +109,8 @@ def verify_spectral_mapping(op: FoguelOperator, tol: Tolerance) -> SpectralMapRe
             f"Gram operator has eigenvalue {gram_spectrum[0]:.3e} < 0; "
             "it is PSD by construction, so the eigensolve went wrong"
         )
-    symbol_spectrum = hermitian_eigvals(op.t @ adjoint(op.t))
+    tt = op.t @ adjoint(op.t)
+    symbol_spectrum = hermitian_eigvals((tt + adjoint(tt)) / 2.0)
 
     scale = 1.0 + abs(float(symbol_spectrum[-1]))
     if float(symbol_spectrum[0]) < -1e-10 * scale:

@@ -541,6 +541,26 @@ def test_power_overflow_is_still_one_failed_trial(capsys):
     assert aggregate["pass_count"] == 0
 
 
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
+def test_a_finite_draw_whose_products_overflow_fails_each_trial_as_linalg_error(
+    monkeypatch, capsys, experiment
+):
+    # entries near 1e160 are finite, so every boundary scan accepts them; the
+    # products they overflow into reach LAPACK, whose refusal is the reason code
+    from foguel import models
+
+    draw = models.ginibre
+    monkeypatch.setattr(models, "ginibre", lambda n, gen: draw(n, gen) * 1e160)
+    args = [experiment, "--trials", "2", "--seed", "3"]
+    args += ["--shift-dims", "8,16"] if experiment == "shift-convergence" else ["--dim", "4"]
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(args, capsys)
+    *records, aggregate = (json.loads(line) for line in out.strip().split("\n"))
+    assert code == 1
+    assert [r["reason"] for r in records] == ["linalg-error"] * 2
+    assert aggregate["pass_count"] == 0
+
+
 def test_polynomial_overflow_is_still_a_failed_trial_each(capsys):
     # the growth factor (1 + ||R||)^400 of poly-formula overflows a float
     code, out, _ = run_cli(
@@ -655,25 +675,31 @@ def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
     config = ExperimentConfig("verify-power", dim=6, power_max=10, trials=2, seed=11)
     assert run_experiment(config).passed
     assert orders == []  # the block formula carries its diagonal blocks too
-    assert len(calls) == 10 * 2  # one foguel_power call per n and trial
+    assert len(calls) == 2  # one foguel_power call per trial, for n = 1
 
 
 def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatch):
-    power, seen = dil.foguel_power, []
+    power, step, seen = dil.foguel_power, dil._power_step, []
 
-    def recording(v, t, n, previous):
-        block = power(v, t, n, previous=previous)
-        seen.append((n, previous, block))
+    def first(v, t, n):
+        block = power(v, t, n)
+        seen.append(("power", n, None, block))
         return block
 
-    monkeypatch.setattr(dil, "foguel_power", recording)
+    def stepping(v, t, previous):
+        block = step(v, t, previous)
+        seen.append(("step", None, previous, block))
+        return block
+
+    monkeypatch.setattr(dil, "foguel_power", first)
+    monkeypatch.setattr(dil, "_power_step", stepping)
     config = ExperimentConfig("verify-power", dim=5, power_max=6, trials=2, seed=13)
     assert run_experiment(config).passed
-    assert [n for n, *_ in seen] == [*range(1, 7)] * 2
+    assert [(kind, n) for kind, n, *_ in seen] == ([("power", 1)] + [("step", None)] * 5) * 2
     before = None
-    for n, previous, block in seen:
-        # each call gets the block the previous call returned, never R^n
-        assert previous is (None if n == 1 else before)
+    for kind, _, previous, block in seen:
+        # each step gets the block the previous step or foguel_power(v, t, 1) returned, never R^n
+        assert previous is (None if kind == "power" else before)
         before = block
 
 

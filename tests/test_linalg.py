@@ -12,9 +12,10 @@ from foguel import (
     SingularMatrixError,
     Tolerance,
     ValidationError,
+    build_foguel,
+    generalized_foguel,
     ginibre,
     haar_unitary,
-    hermitian_eigs,
     lift_foguel,
     linalg,
     multiset_match,
@@ -26,9 +27,10 @@ from foguel import (
 )
 from foguel.errors import NotPositiveSemidefiniteError
 from foguel.linalg import (
-    NORM_CERTIFICATE_MARGIN,
     PSD_VERDICT_MARGIN,
+    _psd_margin,
     adjoint,
+    hermitian_eigs,
     norm_certainly_below,
     norm_unless_below,
     psd_verdict,
@@ -67,9 +69,28 @@ def test_hermitian_eigs_reconstruction_and_trace():
         assert np.all(np.diff(w) >= 0)
 
 
-def test_hermitian_eigs_rejects_asymmetric():
+def test_psd_sqrt_rejects_asymmetric():
     with pytest.raises(ValidationError, match="asymmetry"):
-        hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: build_foguel(m, np.eye(2)),
+        lambda m: generalized_foguel(np.eye(2), m),
+        operator_norm,
+        psd_sqrt,
+    ],
+    ids=["build_foguel", "generalized_foguel", "operator_norm", "psd_sqrt"],
+)
+def test_an_exported_function_rejects_a_non_finite_entry(call, bad):
+    # the boundary scan: the kernels behind these functions trust their input
+    m = np.eye(2, dtype=np.complex128)
+    m[1, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        call(m)
 
 
 def test_operator_norm_zero():
@@ -201,6 +222,22 @@ def _matrix_draw(seed: int, dim: int, extremal: bool) -> np.ndarray:
     return gen.complex_gaussian(dim)
 
 
+def _frobenius_accepts(x, limit) -> bool:
+    """``||x||_F^2 + mu <= limit^2`` with the margin ``mu`` at the scale ``||x||_F^2 + limit^2``."""
+    fro_sq = float(np.linalg.norm(x)) ** 2
+    mu = _psd_margin(x.shape[0], fro_sq + limit * limit)
+    return mu is not None and fro_sq + mu <= limit * limit
+
+
+def _frobenius_threshold(x) -> float:
+    """The limit ``||x||_F sqrt((1 + c) / (1 - c))`` at which the Frobenius test starts to accept.
+
+    ``c`` is the margin per unit scale, so ``mu = c (||x||_F^2 + limit^2)``.
+    """
+    c = _psd_margin(x.shape[0], 1.0)
+    return float(np.linalg.norm(x)) * np.sqrt((1.0 + c) / (1.0 - c))
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 8),
@@ -215,9 +252,8 @@ def test_norm_unless_below_certifies_only_a_true_bound(seed, dim, extremal, marg
     exact = operator_norm(x)
     # the Frobenius acceptance threshold, stepped up by ulps until accepted,
     # so margin == 1 is its boundary
-    frobenius = max(float(np.linalg.norm(x)), 1e-150)
-    threshold = frobenius / (1.0 - NORM_CERTIFICATE_MARGIN)
-    while threshold * (1.0 - NORM_CERTIFICATE_MARGIN) < frobenius:
+    threshold = _frobenius_threshold(x)
+    while not _frobenius_accepts(x, threshold):
         threshold = np.nextafter(threshold, np.inf)
     limit = margin * threshold
     norm = norm_unless_below(x, limit)
@@ -234,11 +270,11 @@ def test_norm_unless_below_certifies_only_a_true_bound(seed, dim, extremal, marg
 @pytest.mark.parametrize("extremal", [False, True], ids=["general", "rank-one"])
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_the_frobenius_test_accepts_exactly_at_the_certificate_margin(monkeypatch, dim, extremal):
-    # with the Cholesky certificate off, only ||x||_F <= limit (1 - margin) certifies
+    # with the Cholesky certificate off, only ||x||_F^2 + mu <= limit^2 certifies
     monkeypatch.setattr(linalg, "norm_certainly_below", lambda x, bound: False)
     x = _matrix_draw(40 + dim, dim, extremal)
     exact = operator_norm(x)
-    threshold = float(np.linalg.norm(x)) / (1.0 - NORM_CERTIFICATE_MARGIN)
+    threshold = _frobenius_threshold(x)
     eps = np.finfo(float).eps
     assert norm_unless_below(x, threshold * (1.0 + 4.0 * eps)) is None
     assert norm_unless_below(x, threshold * (1.0 - 4.0 * eps)) == exact
@@ -276,9 +312,10 @@ def test_norm_certainly_below_implies_exact_bound(seed, dim, kind, rel, log_scal
     certain = norm_certainly_below(m, bound)
     if certain:
         assert norm <= bound
-    # within the 1e-8 margin the certificate declines; well outside it, it decides
-    if rel < 1e-8 and kind != "zero":
-        assert not certain
+    # within half the margin mu the certificate declines; well outside it, it decides
+    if norm > 0.0:
+        mu = _psd_margin(dim, float(np.linalg.norm(m @ adjoint(m))) + norm**2)
+        assert not norm_certainly_below(m, np.sqrt(norm**2 + mu / 2.0))
     if rel >= 1e-4:
         assert certain
 
