@@ -39,7 +39,6 @@ from .linalg import (
     solve_inverse,
 )
 from .models import (
-    FoguelOperator,
     SeededGenerator,
     build_foguel,
     embed_corner,
@@ -72,7 +71,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "FoguelError",
-    "FoguelOperator",
     "InternalConsistencyError",
     "NotPositiveSemidefiniteError",
     "Polynomial",

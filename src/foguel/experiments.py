@@ -195,7 +195,7 @@ def _run_verify_norm(cfg: ExperimentConfig, gen, checks: _Checks):
         v = models.haar_unitary(cfg.dim, gen)
         t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
-    t_norm = operator_norm(t)
+    t_norm = op.symbol_norm
     dev = abs(operator_norm(op.matrix) - spectral.foguel_norm_closed(t_norm))
     checks.add("norm-identity", dev / (1.0 + t_norm), checks.tol)
 
@@ -204,7 +204,7 @@ def _run_verify_spectrum(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
-    t_norm = operator_norm(t)
+    t_norm = op.symbol_norm
     report = spectral.verify_spectral_mapping(
         op, Tolerance(atol=checks.tol * (1.0 + t_norm**2))
     )
@@ -231,8 +231,7 @@ def _run_verify_resolvent(cfg: ExperimentConfig, gen, checks: _Checks):
     v = models.haar_unitary(cfg.dim, gen)
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
-    symbol_eigs = np.linalg.eigvalsh(t @ adjoint(t))
-    mu = _sample_gap_mu(np.clip(symbol_eigs, 0.0, None), gen)
+    mu = _sample_gap_mu(op.symbol_gram_eigvals, gen)
     lam_minus, lam_plus = spectral.inverse_branches(mu)
     lam = lam_plus if gen.uniform(0.0, 1.0) < 0.5 else lam_minus
     blocks = spectral.resolvent_blocks(op, lam)
@@ -248,7 +247,7 @@ def _run_verify_inverses(cfg: ExperimentConfig, gen, checks: _Checks):
     t = models.ginibre(cfg.dim, gen)
     op = models.build_foguel(v, t)
     eye = np.eye(2 * cfg.dim)
-    t_norm = operator_norm(t)
+    t_norm = op.symbol_norm
     s = np.linalg.svd(t, compute_uv=False)
     cond_t = float(s[0] / s[-1])
     residuals = [  # (name, residual, divisor, threshold in units of the base tolerance)

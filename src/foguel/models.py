@@ -108,16 +108,18 @@ def random_contraction(n: int, gen: SeededGenerator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FoguelOperator:
-    """Validated pair ``(V, T)`` with cached block assembly and spectral data.
+    """Pair ``(V, T)`` with cached block assembly and spectral data.
 
-    ``matrix`` is the 2n x 2n block operator ``[[V*, T], [0, V]]`` and
-    ``gram`` its Gram operator, the symmetrized product ``matrix @ matrix*``:
-    the direct route, which shares no block formula with the Schur route.
+    :func:`build_foguel` and ``lift_foguel`` validate the pair; the
+    constructor does not.  ``matrix`` is ``R = [[V*, T], [0, V]]`` and
+    ``gram`` the symmetrized product ``matrix @ matrix*``: the direct
+    route, which shares no block formula with the Schur route.
 
     The remaining cached properties do not depend on a positivity level, so
     a norm bisection computes each once per operator: ``gram_eigvals`` (the
-    only 2n x 2n eigensolve), ``symbol_norm``, ``v_contraction_norm``, the
-    eigenpairs ``vv_eigs`` of ``V V*``, the Schur route's ``gram_corner``
+    only 2n x 2n eigensolve), ``symbol_gram_eigvals`` (``spec(T T*)``, the
+    one source of it and of ``symbol_norm = ||T||``), ``v_contraction_norm``,
+    the eigenpairs ``vv_eigs`` of ``V V*``, the Schur route's ``gram_corner``
     and ``coupling``, and ``isometry_defect`` and ``isometry_excess``, both
     read from one ``V* V - I``.  Every property is computed on first access
     from ``v`` and ``t``, which must not be mutated afterwards; the cached
@@ -175,9 +177,18 @@ class FoguelOperator:
         return _read_only(hermitian_eigvals(self.gram))
 
     @cached_property
+    def symbol_gram_eigvals(self) -> np.ndarray:
+        """Ascending ``spec(T T*)`` from one n x n eigensolve, clipped at 0; raises unless PSD."""
+        tt = self.t @ adjoint(self.t)
+        w = hermitian_eigvals((tt + adjoint(tt)) / 2.0)
+        if float(w[0]) < -1e-10 * (1.0 + abs(float(w[-1]))):
+            raise ValidationError(f"symbol Gram has eigenvalue {w[0]:.3e} < 0; not PSD")
+        return _read_only(np.clip(w, 0.0, None))
+
+    @cached_property
     def symbol_norm(self) -> float:
-        """``||T||``, the norm of the symbol."""
-        return operator_norm(self.t)
+        """``||T||``, the square root of the top of ``symbol_gram_eigvals``."""
+        return float(np.sqrt(self.symbol_gram_eigvals[-1]))
 
     @cached_property
     def v_contraction_norm(self) -> float:

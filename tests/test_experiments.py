@@ -481,6 +481,34 @@ def test_schur_experiment_catches_a_corrupted_operator_cache(monkeypatch, cache,
     assert not report.passed
 
 
+@pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6], ids=["low", "high"])
+@pytest.mark.parametrize("dim", [3, 8, 24])
+@pytest.mark.parametrize("experiment", ["verify-norm", "verify-spectrum", "verify-schur"])
+def test_a_scaled_symbol_spectrum_fails_every_experiment_that_checks_it(
+    monkeypatch, experiment, dim, factor
+):
+    # spec(T T*) and ||T|| = sqrt(its top) share one cache, so scaling it by
+    # 1 +- 1e-6 moves the closed form of verify-norm, the predicted multiset
+    # of verify-spectrum, and the closed form and Newton start of
+    # verify-schur: every trial must fail, or the run raise (exit 3).
+    # verify-resolvent reads the spectrum only to draw lam and to guard its
+    # solve, and verify-inverses only in a divisor, so neither is expected to
+    from foguel.errors import InternalConsistencyError
+    from foguel.models import FoguelOperator
+
+    config = ExperimentConfig(experiment, dim=dim, trials=5, seed=7)
+    assert run_experiment(config).passed
+    original = FoguelOperator.__dict__["symbol_gram_eigvals"].func
+    monkeypatch.setattr(
+        FoguelOperator, "symbol_gram_eigvals", property(lambda op: original(op) * factor)
+    )
+    try:
+        report = run_experiment(config)
+    except InternalConsistencyError:
+        return
+    assert report.pass_count == 0
+
+
 @pytest.mark.parametrize("experiment, per_trial", [("verify-power", 2), ("verify-inverses", 1)])
 def test_reported_checks_run_few_eigensolves_of_order_2n(monkeypatch, experiment, per_trial):
     # only a check that can be a trial's worst ratio needs an exact norm:

@@ -6,6 +6,7 @@ REMOVED = (
     "BoundViolationError",
     "DilationLift",
     "ExperimentReport",
+    "FoguelOperator",
     "MultisetComparison",
     "NormBisection",
     "PolyBoundReport",
