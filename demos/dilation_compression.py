@@ -31,18 +31,18 @@ print(f"with +A* : unitarity defect {plus_defect:.3e}  <- not a dilation at all"
 
 print()
 print("=== compression bound ===")
-r = fg.generalized_foguel(a, t)
-w = fg.lift_foguel(a, t).matrix
+op = fg.generalized_foguel(a, t)
+w = fg.lift_foguel(op).matrix
 t_norm = fg.operator_norm(t)
 print(f"||T||                     : {t_norm:.6f}")
-print(f"||R|| (contraction slot)  : {fg.operator_norm(r):.6f}")
+print(f"||R|| (contraction slot)  : {fg.operator_norm(op.matrix):.6f}")
 print(f"||W|| (lifted, 16 x 16)   : {fg.operator_norm(w):.6f}")
 print(f"closed-form cap           : {fg.foguel_norm_closed(t_norm):.6f}")
 
 print()
 print("the cap is attained exactly when the slot is unitary:")
 v = fg.haar_unitary(4, gen)
-r_unitary = fg.generalized_foguel(v, t)
+r_unitary = fg.build_foguel(v, t).matrix
 print(f"||R|| with unitary slot   : {fg.operator_norm(r_unitary):.12f}")
 print(f"closed-form cap           : {fg.foguel_norm_closed(t_norm):.12f}")
 
@@ -53,6 +53,6 @@ for trial in range(20):
     a_i = fg.random_contraction(3, sub)
     t_i = fg.ginibre(3, sub)
     slack = fg.foguel_norm_closed(fg.operator_norm(t_i)) - fg.operator_norm(
-        fg.generalized_foguel(a_i, t_i)
+        fg.generalized_foguel(a_i, t_i).matrix
     )
     print(f"  trial {trial:2d}: slack {slack:+.6f}")

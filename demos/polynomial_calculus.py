@@ -12,8 +12,9 @@ import numpy as np
 import foguel as fg
 
 print("=== scalar powers: R = [[1, 1], [0, 1]] ===")
+scalar = fg.generalized_foguel([[1.0]], [[1.0]])
 for n in (1, 2, 3, 5, 8):
-    block = fg.foguel_power([[1.0]], [[1.0]], n)
+    block = fg.foguel_power(scalar, n)
     print(f"R^{n} = {block.real.astype(int).tolist()}  (off-diagonal grows like n)")
 
 print()
@@ -22,7 +23,7 @@ gen = fg.SeededGenerator(88)
 v = fg.haar_unitary(4, gen)
 t = fg.ginibre(4, gen)
 t_norm = fg.operator_norm(t)
-r = fg.generalized_foguel(v, t)
+r = fg.build_foguel(v, t).matrix
 print(f"{'n':>3} {'||R^n||':>12} {'Phi(n ||T||)':>14} {'slack':>10}")
 power = np.eye(8, dtype=complex)
 for n in range(1, 9):
@@ -33,7 +34,7 @@ for n in range(1, 9):
 
 print()
 print("=== the polynomial bound, equality case ===")
-report = fg.verify_poly_bound(fg.Polynomial([0, 0, 1.0]), [[1.0]], [[1.0]])
+report = fg.verify_poly_bound(fg.Polynomial([0, 0, 1.0]), scalar)
 print(f"p(z) = z^2 at the scalar pair: ||p(R)|| = {report.applied_norm:.12f}")
 print(f"bound Phi(2)                 = {report.bound:.12f}")
 print(f"slack                        = {report.slack:.2e}  (sharp)")
@@ -49,7 +50,7 @@ for trial in range(8):
     p = fg.Polynomial(sub.complex_gaussian(1, degree + 1)[0])
     deflate = p.boundary_sup() * (1 + 1e-5)
     p = fg.Polynomial(c / deflate for c in p.coeffs)
-    rep = fg.verify_poly_bound(p, a, t_i)
+    rep = fg.verify_poly_bound(p, fg.generalized_foguel(a, t_i))
     print(
         f"{degree:>7} {rep.sup_norm:>8.5f} {rep.applied_norm:>10.5f} "
         f"{rep.bound:>10.5f} {rep.slack:>10.5f}"

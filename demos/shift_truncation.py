@@ -19,10 +19,7 @@ print()
 print(f"{'N':>5} {'isometry defect':>16} {'||R(N)||':>16} {'gap to cap':>12}")
 previous = 0.0
 for big in (4, 6, 8, 12, 16, 64, 256):
-    shift = fg.truncated_shift(big)
-    op = fg.build_foguel(
-        shift, fg.embed_corner(t_small, big), require_isometry=False
-    )
+    op = fg.generalized_foguel(fg.truncated_shift(big), fg.embed_corner(t_small, big))
     value = fg.operator_norm(op.matrix)
     marker = "" if value + 1e-12 >= previous else "  <- monotonicity violated!"
     print(f"{big:>5} {op.isometry_defect:>16.1f} {value:>16.12f} {cap - value:>12.3e}{marker}")

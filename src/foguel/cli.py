@@ -134,7 +134,9 @@ def _merge(args: argparse.Namespace) -> tuple[ExperimentConfig, str | None]:
     experiment = args.experiment
     fields = _fields(EXPERIMENTS[experiment])
     file_values = _load_config_file(args.config) if args.config else {}
-    file_values.pop("experiment", None)
+    named = file_values.pop("experiment", experiment)
+    if named != experiment:
+        raise ValidationError(f"config file is for {named!r}, not for {experiment!r}")
     unknown = set(file_values) - set(fields)
     if unknown:
         raise ValidationError(

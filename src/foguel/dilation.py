@@ -24,7 +24,6 @@ from .linalg import (
     block2,
     operator_norm,
     refuse_expansion,
-    require_contraction,
     require_index,
     require_pair,
     require_square,
@@ -110,10 +109,10 @@ def tilde_deriv_bound(p: Polynomial) -> float:
     return float(sum(j * abs(c) for j, c in enumerate(p.coeffs)))
 
 
-def generalized_foguel(a, t) -> np.ndarray:
-    """Assemble the block operator ``[[A*, T], [0, A]]`` (no isometry demanded)."""
+def generalized_foguel(a, t) -> FoguelOperator:
+    """The validated ``FoguelOperator`` ``[[A*, T], [0, A]]``; no isometry is demanded of ``A``."""
     a, t = require_pair(a, t, ("A", "T"))
-    return block2(adjoint(a), t, None, a)
+    return FoguelOperator(v=a, t=t)
 
 
 def halmos_dilation(a) -> np.ndarray:
@@ -147,66 +146,63 @@ def _dilation(a: np.ndarray) -> np.ndarray:
     )
 
 
-def lift_foguel(a, t) -> FoguelOperator:
-    """Lift ``[[A*, T], [0, A]]`` to a genuine Foguel operator via dilation.
+def lift_foguel(op: FoguelOperator) -> FoguelOperator:
+    """Lift ``op``, the operator ``[[A*, T], [0, A]]``, to a genuine Foguel operator via dilation.
 
     The result's isometry slot ``v`` is :func:`halmos_dilation` of ``A``,
     its symbol ``t`` pads ``T`` into the upper-right n x n block of a
     2n x 2n matrix (padding preserves the symbol norm exactly), ``matrix``
     is the 4n x 4n operator ``W`` and ``isometry_defect`` the dilation's
-    unitarity defect.  The dilation is unitary by construction and the pair
-    is validated here, so the lift is built without ``build_foguel``; the
-    defect matrix is formed only where ``isometry_defect`` is read
-    (verify-dilation's ``dilation-unitarity`` check).  A non-contraction
-    ``A`` still raises.
+    unitarity defect.  The dilation is unitary by construction and ``op``
+    was validated where it was built, so the lift is built without
+    ``build_foguel``; the defect matrix is formed only where
+    ``isometry_defect`` is read (verify-dilation's ``dilation-unitarity``
+    check).  A non-contraction ``A`` still raises.
     """
-    a, t = require_pair(a, t, ("A", "T"))
-    return FoguelOperator(v=_dilation(a), t=block2(None, t, None, None))
+    return FoguelOperator(v=_dilation(op.v), t=block2(None, op.t, None, None))
 
 
-def _power_step(a: np.ndarray, t: np.ndarray, previous: np.ndarray) -> np.ndarray:
+def _power_step(op: FoguelOperator, previous: np.ndarray) -> np.ndarray:
     """The block formula for ``R^n`` from that for ``R^(n-1)``, in two order-n products.
 
-    ``A^n = A^(n-1) A`` and ``D_n = A* D_(n-1) + T A^(n-1)``, with
-    ``A^(n-1)`` and ``D_(n-1)`` read from ``previous``; the upper-left block
-    is ``adjoint(A^n)``.  Nothing is validated: verify-power steps the
-    block that :func:`foguel_power` returned for ``n = 1``.
+    ``A^n = A^(n-1) A`` and ``D_n = A* D_(n-1) + T A^(n-1)``, with ``A^(n-1)``
+    and ``D_(n-1)`` read from ``previous``; the upper-left block is
+    ``adjoint(A^n)``.  verify-power steps the block ``foguel_power`` gave for ``n = 1``.
     """
-    k = a.shape[0]
+    a, k = op.v, op.dim
     a_prev = previous[k:, k:]
     a_pow = a_prev @ a
-    return block2(adjoint(a_pow), adjoint(a) @ previous[:k, k:] + t @ a_prev, None, a_pow)
+    return block2(adjoint(a_pow), adjoint(a) @ previous[:k, k:] + op.t @ a_prev, None, a_pow)
 
 
-def foguel_power(a, t, n: int) -> np.ndarray:
-    """n-th power of ``[[A*, T], [0, A]]`` from the explicit block formula.
+def foguel_power(op: FoguelOperator, n: int) -> np.ndarray:
+    """n-th power of ``op``, the operator ``[[A*, T], [0, A]]``, from the explicit block formula.
 
-    ``[[(A*)^n, D_n], [0, A^n]]`` is ``n - 1`` :func:`_power_step` steps
-    from ``R`` itself, after one validation of the pair and of ``n``.  The
-    block is not compared with ``R^n`` here: verify-power's
+    ``[[(A*)^n, D_n], [0, A^n]]`` is ``n - 1`` :func:`_power_step` steps from
+    ``R``, formed from ``op.v`` and ``op.t``, never read from ``op.matrix``.
+    The block is not compared with ``R^n`` here: verify-power's
     ``power-formula-n`` check does that against its own running product.
     """
     n = require_index(n, "power index", 1)
-    a, t = require_pair(a, t, ("A", "T"))
-    block = block2(adjoint(a), t, None, a)
+    block = block2(adjoint(op.v), op.t, None, op.v)
     for _ in range(n - 1):
-        block = _power_step(a, t, block)
+        block = _power_step(op, block)
     return block
 
 
-def poly_apply(p: Polynomial, a, t) -> np.ndarray:
-    """Evaluate ``p`` at ``[[A*, T], [0, A]]`` via the block formula.
+def poly_apply(p: Polynomial, op: FoguelOperator) -> np.ndarray:
+    """Evaluate ``p`` at ``op``, the operator ``[[A*, T], [0, A]]``, via the block formula.
 
     Returns ``[[sum_j a_j (A*)^j, sum_{j>=1} a_j D_j], [0, p(A)]]``; note the
     upper-left block carries the original coefficients (not their
     conjugates), which is what the power expansion forces.  It is formed as
     ``(sum_j conj(a_j) A^j)*`` from the one chain of powers ``A^j`` that
     ``p(A)`` and the ``D_j`` recursion read, so each degree costs three
-    order-n products.  The block is not compared with a direct evaluation
-    of ``R`` here: verify-polynomial's ``poly-formula`` check does that.
+    order-n products, on ``op.v`` and ``op.t`` alone.  The block is not
+    compared with ``p(op.matrix)`` here: verify-polynomial's ``poly-formula``
+    check does that.
     """
-    a, t = require_pair(a, t, ("A", "T"))
-    dim = a.shape[0]
+    a, t, dim = op.v, op.t, op.dim
     a_star = adjoint(a)
 
     eye = np.eye(dim, dtype=np.complex128)
@@ -236,34 +232,33 @@ class PolyBoundReport:
     sup_norm: float
 
 
-def verify_poly_bound(p: Polynomial, a, t, direct=None) -> PolyBoundReport:
-    """Both sides of ``||p(R)|| <= Phi(||tilde(p)'||_inf * ||T||)`` for a contraction ``A``.
+def verify_poly_bound(p: Polynomial, op: FoguelOperator, direct=None) -> PolyBoundReport:
+    """Both sides of ``||p(R)|| <= Phi(||tilde(p)'||_inf * ||T||)`` for a contraction slot.
 
     Requires ``sup_{|z|<=1} |p(z)| <= 1`` (estimated by dense boundary
     sampling); the bound is not asserted for unnormalized polynomials.
     ``||p(R)||`` is the norm of ``direct`` when the caller passes its own
-    ``p.at_matrix(R)``, and of a fresh ``p.at_matrix(R)`` otherwise.  The
-    report's ``slack`` is ``bound - ||p(R)||`` and is not judged here:
+    ``p.at_matrix(op.matrix)``, and of a fresh one otherwise.  The report's
+    ``slack`` is ``bound - ||p(R)||`` and is not judged here:
     verify-polynomial's ``poly-bound`` check records a negative slack
     against its tolerance.
     """
-    a, t = require_pair(a, t, ("A", "T"))
-    require_contraction(a, "A")
+    op.v_contraction_norm  # raises ValidationError unless V is a contraction
     sup = p.boundary_sup()
     if sup > 1.0 + CONTRACTION_TOL:
         raise ValidationError(
             f"polynomial sup-norm on the disk is {sup:.12g} > 1; "
             "normalize before applying the bound"
         )
-    order = 2 * a.shape[0]
+    order = 2 * op.dim
     if direct is None:
-        direct = p.at_matrix(block2(adjoint(a), t, None, a))
+        direct = p.at_matrix(op.matrix)
     elif np.shape(direct) != (order, order):
         raise ValidationError(
             f"direct evaluation must have shape {(order, order)}, got {np.shape(direct)}"
         )
     applied_norm = operator_norm(direct)
-    bound = foguel_norm_closed(tilde_deriv_bound(p) * operator_norm(t))
+    bound = foguel_norm_closed(tilde_deriv_bound(p) * op.symbol_norm)
     return PolyBoundReport(
         applied_norm=applied_norm, bound=bound, slack=bound - applied_norm, sup_norm=sup
     )

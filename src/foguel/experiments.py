@@ -265,15 +265,16 @@ def _run_verify_inverses(cfg: ExperimentConfig, gen, checks: _Checks):
 
 
 def _run_verify_dilation(cfg: ExperimentConfig, gen, checks: _Checks):
-    a = models.random_contraction(cfg.dim, gen)
-    t = models.ginibre(cfg.dim, gen)
-    lift = dil.lift_foguel(a, t)
-    t_norm = operator_norm(t)
+    op = dil.generalized_foguel(
+        models.random_contraction(cfg.dim, gen), models.ginibre(cfg.dim, gen)
+    )
+    lift = dil.lift_foguel(op)
+    t_norm = op.symbol_norm
     closed = spectral.foguel_norm_closed(t_norm)
     w_norm = operator_norm(lift.matrix)
     # one certificate of ||R|| <= min(||W||, closed) settles both compression
     # checks at 0.0, what max(0, .) records; otherwise ||R|| is computed
-    r_norm = norm_unless_below(dil.generalized_foguel(a, t), min(w_norm, closed))
+    r_norm = norm_unless_below(op.matrix, min(w_norm, closed))
 
     # ||D* D - I|| for the dilation D in the isometry slot
     checks.add("dilation-unitarity", lift.isometry_defect, checks.tol)
@@ -285,18 +286,17 @@ def _run_verify_dilation(cfg: ExperimentConfig, gen, checks: _Checks):
 
 
 def _run_verify_power(cfg: ExperimentConfig, gen, checks: _Checks):
-    v = models.haar_unitary(cfg.dim, gen)
-    t = models.ginibre(cfg.dim, gen)
-    r = dil.generalized_foguel(v, t)
-    t_norm = operator_norm(t)
-    r_norm = operator_norm(r)
+    op = dil.generalized_foguel(models.haar_unitary(cfg.dim, gen), models.ginibre(cfg.dim, gen))
+    t_norm = op.symbol_norm
+    r_norm = operator_norm(op.matrix)
     # foguel_power gives the block for n = 1; each later block is one unchecked step from the last
-    direct, block = np.eye(2 * cfg.dim, dtype=np.complex128), dil.foguel_power(v, t, 1)
+    direct, block = np.eye(2 * cfg.dim, dtype=np.complex128), dil.foguel_power(op, 1)
     for n in range(1, cfg.power_max + 1):
-        # the two routes never meet: R^n multiplies R, the block formula steps its own block
-        direct = direct @ r
+        # the two routes never meet: R^n multiplies op.matrix, the block formula
+        # steps its own block, formed from op.v and op.t
+        direct = direct @ op.matrix
         if n > 1:
-            block = dil._power_step(v, t, block)
+            block = dil._power_step(op, block)
         checks.add_norm(f"power-formula-{n}", block - direct, (1.0 + r_norm) ** n, checks.tol)
         # the excess over the bound is 0.0 wherever a certificate holds
         bound = spectral.foguel_norm_closed(n * t_norm)
@@ -322,18 +322,18 @@ def _random_unit_polynomial(degree: int, gen) -> dil.Polynomial:
 
 
 def _run_verify_polynomial(cfg: ExperimentConfig, gen, checks: _Checks):
-    a = models.random_contraction(cfg.dim, gen)
-    t = models.ginibre(cfg.dim, gen)
+    op = dil.generalized_foguel(
+        models.random_contraction(cfg.dim, gen), models.ginibre(cfg.dim, gen)
+    )
     p = _random_unit_polynomial(cfg.poly_degree, gen)
-    r = dil.generalized_foguel(a, t)
-    r_norm = operator_norm(r)
+    r_norm = operator_norm(op.matrix)
 
     # one direct evaluation of p at the assembled R, the oracle of both checks
-    direct = p.at_matrix(r)
-    block = dil.poly_apply(p, a, t)
+    direct = p.at_matrix(op.matrix)
+    block = dil.poly_apply(p, op)
     growth = sum(abs(c) * (1.0 + r_norm) ** j for j, c in enumerate(p.coeffs))
     dev = operator_norm(block - direct) / max(growth, 1.0)
-    report = dil.verify_poly_bound(p, a, t, direct)
+    report = dil.verify_poly_bound(p, op, direct)
 
     checks.add("poly-bound", max(0.0, -report.slack), checks.tol)
     checks.add("poly-formula", dev, checks.tol / 10.0)
@@ -402,9 +402,8 @@ def _run_shift_convergence(cfg: ExperimentConfig, gen, checks: _Checks):
     dims = sorted(cfg.shift_dims)
     norms = []
     for big in dims:
-        shift = models.truncated_shift(big)
-        op = models.build_foguel(
-            shift, models.embed_corner(t_small, big), require_isometry=False
+        op = dil.generalized_foguel(
+            models.truncated_shift(big), models.embed_corner(t_small, big)
         )
         norms.append(operator_norm(op.matrix))
 

@@ -32,7 +32,7 @@ from .linalg import (
     require_pair,
 )
 
-#: Isometry defect accepted by strict-mode construction.
+#: Isometry defect :func:`build_foguel` accepts.
 ISOMETRY_TOL = 1e-10
 
 
@@ -110,7 +110,7 @@ def random_contraction(n: int, gen: SeededGenerator) -> np.ndarray:
 class FoguelOperator:
     """Pair ``(V, T)`` with cached block assembly and spectral data.
 
-    :func:`build_foguel` and ``lift_foguel`` validate the pair; the
+    :func:`build_foguel` and ``generalized_foguel`` validate the pair; the
     constructor does not.  ``matrix`` is ``R = [[V*, T], [0, V]]`` and
     ``gram`` the symmetrized product ``matrix @ matrix*``: the direct
     route, which shares no block formula with the Schur route.
@@ -212,17 +212,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_foguel(v, t, require_isometry: bool = True) -> FoguelOperator:
-    """Construct a :class:`FoguelOperator`.
+def build_foguel(v, t) -> FoguelOperator:
+    """Construct the :class:`FoguelOperator` of a pair with an isometry slot.
 
-    With ``require_isometry`` (the default) the defect ``||V* V - I||`` must
-    not exceed ``1e-10``; pass ``False`` for contraction-slot experiments
-    such as the truncated shift, where the defect is part of the story and
-    ``isometry_defect`` reports it.
+    The defect ``||V* V - I||`` must not exceed ``ISOMETRY_TOL``; a
+    contraction slot such as the truncated shift, where the defect is part
+    of the story and ``isometry_defect`` reports it, goes through
+    :func:`~foguel.dilation.generalized_foguel` instead.
     """
     v, t = require_pair(v, t, ("V", "T"))
     op = FoguelOperator(v=v, t=t)
-    if require_isometry and op.isometry_excess is not None:
+    if op.isometry_excess is not None:
         raise ValidationError(
             f"V is not an isometry: defect {op.isometry_excess:.3e} exceeds {ISOMETRY_TOL:.1e}"
         )

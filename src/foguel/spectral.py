@@ -55,7 +55,12 @@ def inverse_branches(mu: float) -> tuple[float, float]:
     mu = float(mu)
     if mu < 0:
         raise ValidationError(f"inverse_branches requires mu >= 0, got {mu}")
-    lam_plus = float(((mu + 2.0) + np.sqrt(mu * (mu + 4.0))) / 2.0)
+    return tuple(float(lam) for lam in _branches(mu))
+
+
+def _branches(mu):
+    """``(lam_minus, lam_plus)`` for ``mu >= 0``, a scalar or an array: the one branch formula."""
+    lam_plus = ((mu + 2.0) + np.sqrt(mu * (mu + 4.0))) / 2.0
     return 1.0 / lam_plus, lam_plus
 
 
@@ -109,8 +114,7 @@ def verify_spectral_mapping(op: FoguelOperator, tol: Tolerance) -> SpectralMapRe
             "it is PSD by construction, so the eigensolve went wrong"
         )
     mu = op.symbol_gram_eigvals
-    lam_plus = ((mu + 2.0) + np.sqrt(mu * (mu + 4.0))) / 2.0
-    predicted = np.sort(np.concatenate([1.0 / lam_plus, lam_plus]))
+    predicted = np.sort(np.concatenate(_branches(mu)))
 
     try:
         comparison = multiset_match(gram_spectrum, predicted, tol)

@@ -202,8 +202,9 @@ def test_criterion_5_dilation_and_compression():
             operator_norm(adjoint(dilation) @ dilation - np.eye(2 * n)),
         )
         # ||R|| <= ||W|| <= Phi(||T||), with ||W|| of the lift from an SVD
-        r_norm = operator_norm(generalized_foguel(a, t))
-        w_norm = np.linalg.norm(lift_foguel(a, t).matrix, 2)
+        op = generalized_foguel(a, t)
+        r_norm = operator_norm(op.matrix)
+        w_norm = np.linalg.norm(lift_foguel(op).matrix, 2)
         closed = foguel_norm_closed(operator_norm(t))
         for excess in (r_norm - w_norm, w_norm - closed, r_norm - closed):
             worst_excess = max(worst_excess, excess)
@@ -212,7 +213,8 @@ def test_criterion_5_dilation_and_compression():
 
     # at dim 256 operator_norm takes ||W|| (order 1024) from its Lanczos path
     gen = SeededGenerator(1005, 1000)
-    lifted = lift_foguel(random_contraction(256, gen), ginibre(256, gen)).matrix
+    op = generalized_foguel(random_contraction(256, gen), ginibre(256, gen))
+    lifted = lift_foguel(op).matrix
     svd_norm = np.linalg.norm(lifted, 2)
     lanczos_gap = abs(operator_norm(lifted) - svd_norm) / svd_norm
 
@@ -248,13 +250,14 @@ def test_criterion_6_power_and_polynomial_bounds():
         n = (1, 2, 4, 8)[trial % 4]
         v = haar_unitary(n, gen)
         t = ginibre(n, gen)
-        r = generalized_foguel(v, t)
+        op = generalized_foguel(v, t)
+        r = op.matrix
         r_norm = operator_norm(r)
         t_norm = operator_norm(t)
         direct = np.eye(2 * n, dtype=complex)
         for power in range(1, 11):
             direct = direct @ r
-            block = foguel_power(v, t, power)
+            block = foguel_power(op, power)
             worst_formula = max(
                 worst_formula,
                 operator_norm(block - direct) / (1.0 + r_norm) ** power,
@@ -276,12 +279,12 @@ def test_criterion_6_power_and_polynomial_bounds():
         p = Polynomial(coeffs)
         sup = p.boundary_sup()
         p = Polynomial(c / (sup * (1.0 + 1e-5)) for c in p.coeffs)
-        report = verify_poly_bound(p, a, t)
+        report = verify_poly_bound(p, generalized_foguel(a, t))
         worst_slack = min(worst_slack, report.slack)
         if report.slack < -1e-8:
             poly_violations += 1
 
-    equality = verify_poly_bound(Polynomial([0, 0, 1.0]), [[1.0]], [[1.0]])
+    equality = verify_poly_bound(Polynomial([0, 0, 1.0]), generalized_foguel([[1.0]], [[1.0]]))
 
     ok = (
         worst_formula <= 1e-9
@@ -375,9 +378,7 @@ def test_criterion_8_shift_truncation():
     dims = (16, 64, 256)
     norms = []
     for big in dims:
-        op = build_foguel(
-            truncated_shift(big), embed_corner(t_small, big), require_isometry=False
-        )
+        op = generalized_foguel(truncated_shift(big), embed_corner(t_small, big))
         norms.append(operator_norm(op.matrix))
 
     monotone_ok = all(

@@ -161,7 +161,7 @@ def test_halmos_dilation_rejects_expansion():
 def test_lift_padded_symbol_norm():
     gen = SeededGenerator(33)
     t = ginibre(4, gen)
-    lift = lift_foguel(random_contraction(4, gen), t)
+    lift = lift_foguel(generalized_foguel(random_contraction(4, gen), t))
     assert abs(svd_norm(lift.t) - svd_norm(t)) <= 1e-12
 
 
@@ -169,13 +169,13 @@ def test_lift_norm_equals_closed_form():
     gen = SeededGenerator(34)
     a = random_contraction(4, gen)
     t = ginibre(4, gen)
-    lift = lift_foguel(a, t)
+    lift = lift_foguel(generalized_foguel(a, t))
     # W has a unitary slot, so its norm is the closed-form Foguel norm
     assert abs(svd_norm(lift.matrix) - foguel_norm_closed(svd_norm(t))) <= 1e-8
 
 
 def test_lift_zero_contraction_hand_assembled():
-    lift = lift_foguel(np.zeros((1, 1)), np.eye(1))
+    lift = lift_foguel(generalized_foguel(np.zeros((1, 1)), np.eye(1)))
     expected = np.array(
         [
             [0, 1, 0, 1],
@@ -191,19 +191,20 @@ def test_lift_zero_contraction_hand_assembled():
 
 def test_lift_forms_its_defect_matrix_only_where_the_defect_is_read():
     gen = SeededGenerator(35)
-    lift = lift_foguel(random_contraction(4, gen), ginibre(4, gen))
+    lift = lift_foguel(generalized_foguel(random_contraction(4, gen), ginibre(4, gen)))
     assert "_defect_matrix" not in vars(lift)
     assert lift.isometry_defect <= 1e-12
     assert "_defect_matrix" in vars(lift)
 
 
 def test_compress_scalar_fixture():
-    r = generalized_foguel([[0.5]], [[1.0]])
+    op = generalized_foguel([[0.5]], [[1.0]])
+    r = op.matrix
     np.testing.assert_allclose(r.real, [[0.5, 1.0], [0.0, 0.5]], atol=1e-15)
     # 2x2 SVD oracle: ||R||^2 is the largest eigenvalue of R R*
     norm = svd_norm(r)
     assert norm == pytest.approx(np.sqrt((1.5 + np.sqrt(2.0)) / 2.0), abs=1e-12)
-    assert norm <= operator_norm(lift_foguel([[0.5]], [[1.0]]).matrix) + 1e-10
+    assert norm <= operator_norm(lift_foguel(op).matrix) + 1e-10
     assert norm < foguel_norm_closed(1.0)
 
 
@@ -211,16 +212,18 @@ def test_compress_unitary_slot_attains_equality():
     gen = SeededGenerator(35)
     v = haar_unitary(4, gen)
     t = ginibre(4, gen)
-    r_norm = svd_norm(generalized_foguel(v, t))
-    assert abs(r_norm - operator_norm(lift_foguel(v, t).matrix)) <= 1e-8
+    op = generalized_foguel(v, t)
+    r_norm = svd_norm(op.matrix)
+    assert abs(r_norm - operator_norm(lift_foguel(op).matrix)) <= 1e-8
     assert abs(r_norm - foguel_norm_closed(svd_norm(t))) <= 1e-8
 
 
 def test_compress_zero_symbol():
     a = random_contraction(3, SeededGenerator(36))
     t = np.zeros((3, 3))
-    r_norm = svd_norm(generalized_foguel(a, t))
-    assert r_norm <= operator_norm(lift_foguel(a, t).matrix) + 1e-10
+    op = generalized_foguel(a, t)
+    r_norm = svd_norm(op.matrix)
+    assert r_norm <= operator_norm(lift_foguel(op).matrix) + 1e-10
     assert r_norm <= 1.0 + 1e-12 <= foguel_norm_closed(0.0) + 1e-12
 
 
@@ -230,9 +233,10 @@ def test_compress_bound_random_contractions():
         n = 1 + trial % 8
         a = random_contraction(n, gen.substream(trial))
         t = ginibre(n, gen.substream(trial + 5000))
-        r = generalized_foguel(a, t)
+        op = generalized_foguel(a, t)
+        r = op.matrix
         r_norm = operator_norm(r)
-        assert r_norm <= operator_norm(lift_foguel(a, t).matrix) + 1e-10
+        assert r_norm <= operator_norm(lift_foguel(op).matrix) + 1e-10
         assert r_norm <= foguel_norm_closed(operator_norm(t)) + 1e-8
         assert svd_norm(r) <= foguel_norm_closed(svd_norm(t)) + 1e-8
 
@@ -262,7 +266,7 @@ def test_power_offdiag_recurrence():
     gen = SeededGenerator(43)
     a = random_contraction(4, gen)
     t = ginibre(4, gen)
-    r_norm = operator_norm(generalized_foguel(a, t))
+    r_norm = operator_norm(generalized_foguel(a, t).matrix)
     for n in range(1, 8):
         lhs = power_offdiag(a, t, n + 1)
         rhs = adjoint(a) @ power_offdiag(a, t, n) + t @ np.linalg.matrix_power(a, n)
@@ -273,12 +277,13 @@ def test_foguel_power_first_is_operator():
     gen = SeededGenerator(44)
     a = random_contraction(3, gen)
     t = ginibre(3, gen)
-    np.testing.assert_allclose(foguel_power(a, t, 1), generalized_foguel(a, t), atol=1e-15)
+    op = generalized_foguel(a, t)
+    np.testing.assert_allclose(foguel_power(op, 1), op.matrix, atol=1e-15)
 
 
 def test_foguel_power_scalar():
     np.testing.assert_allclose(
-        foguel_power([[1.0]], [[1.0]], 3).real, [[1, 3], [0, 1]], atol=1e-14
+        foguel_power(generalized_foguel([[1.0]], [[1.0]]), 3).real, [[1, 3], [0, 1]], atol=1e-14
     )
 
 
@@ -286,27 +291,28 @@ def test_foguel_power_matches_repeated_multiplication():
     gen = SeededGenerator(45)
     a = random_contraction(4, gen)
     t = ginibre(4, gen)
-    r = generalized_foguel(a, t)
-    block = foguel_power(a, t, 5)
+    op = generalized_foguel(a, t)
+    r = op.matrix
+    block = foguel_power(op, 5)
     assert operator_norm(block - np.linalg.matrix_power(r, 5)) <= 1e-9
 
 
 def test_foguel_power_rejects_zero_index():
     with pytest.raises(ValidationError, match="power index must be >= 1, got 0"):
-        foguel_power(np.eye(2), np.eye(2), 0)
+        foguel_power(generalized_foguel(np.eye(2), np.eye(2)), 0)
 
 
 @pytest.mark.parametrize("index", [2.5, "3", True])
 @pytest.mark.parametrize("fn", [foguel_power])
 def test_a_non_integral_power_index_is_rejected(fn, index):
     with pytest.raises(ValidationError, match=f"power index must be an integer, got {index!r}"):
-        fn(np.eye(2), np.eye(2), index)
+        fn(generalized_foguel(np.eye(2), np.eye(2)), index)
 
 
 def test_numpy_integer_power_indices_are_accepted():
-    a, t = np.eye(2), np.eye(2)
-    assert np.array_equal(foguel_power(a, t, np.int64(3)), foguel_power(a, t, 3))
-    assert np.array_equal(foguel_power(a, t, np.int32(3)), foguel_power(a, t, 3))
+    op = generalized_foguel(np.eye(2), np.eye(2))
+    assert np.array_equal(foguel_power(op, np.int64(3)), foguel_power(op, 3))
+    assert np.array_equal(foguel_power(op, np.int32(3)), foguel_power(op, 3))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
@@ -315,12 +321,13 @@ def test_carried_power_blocks_are_bit_identical(dim):
 
     gen = SeededGenerator(54 + dim)
     a, t = random_contraction(dim, gen), ginibre(dim, gen)
-    block = foguel_power(a, t, 1)
+    op = generalized_foguel(a, t)
+    block = foguel_power(op, 1)
     for n in range(1, 13):
         if n > 1:
-            block = _power_step(a, t, block)
+            block = _power_step(op, block)
         assert np.array_equal(block[:dim, dim:], power_offdiag(a, t, n))
-        assert np.array_equal(block, foguel_power(a, t, n))
+        assert np.array_equal(block, foguel_power(op, n))
 
 
 # --- polynomial calculus -----------------------------------------------------
@@ -330,13 +337,12 @@ def test_poly_apply_identity_polynomial():
     gen = SeededGenerator(46)
     a = random_contraction(3, gen)
     t = ginibre(3, gen)
-    np.testing.assert_allclose(
-        poly_apply(Polynomial([0.0, 1.0]), a, t), generalized_foguel(a, t), atol=1e-13
-    )
+    op = generalized_foguel(a, t)
+    np.testing.assert_allclose(poly_apply(Polynomial([0.0, 1.0]), op), op.matrix, atol=1e-13)
 
 
 def test_poly_apply_square_scalar():
-    block = poly_apply(Polynomial([0.0, 0.0, 1.0]), [[1.0]], [[1.0]])
+    block = poly_apply(Polynomial([0.0, 0.0, 1.0]), generalized_foguel([[1.0]], [[1.0]]))
     np.testing.assert_allclose(block.real, [[1, 2], [0, 1]], atol=1e-14)
 
 
@@ -344,8 +350,9 @@ def test_poly_apply_affine_linearity():
     gen = SeededGenerator(47)
     a = random_contraction(4, gen)
     t = ginibre(4, gen)
-    r = generalized_foguel(a, t)
-    block = poly_apply(Polynomial([1.0, 1.0]), a, t)
+    op = generalized_foguel(a, t)
+    r = op.matrix
+    block = poly_apply(Polynomial([1.0, 1.0]), op)
     assert operator_norm(block - (np.eye(8) + r)) <= 1e-12
 
 
@@ -364,15 +371,16 @@ def test_verify_poly_bound_power_case():
     gen = SeededGenerator(48)
     v = haar_unitary(3, gen)
     t = ginibre(3, gen)
-    report = verify_poly_bound(Polynomial([0.0, 0.0, 0.0, 1.0]), v, t)
+    op = generalized_foguel(v, t)
+    report = verify_poly_bound(Polynomial([0.0, 0.0, 0.0, 1.0]), op)
     # the monomial case is the power estimate ||R^3|| <= Phi(3 ||T||)
-    r3 = np.linalg.matrix_power(generalized_foguel(v, t), 3)
+    r3 = np.linalg.matrix_power(op.matrix, 3)
     assert report.applied_norm == pytest.approx(svd_norm(r3), abs=1e-10)
     assert report.slack >= -1e-8
 
 
 def test_verify_poly_bound_equality_fixture():
-    report = verify_poly_bound(Polynomial([0.0, 0.0, 1.0]), [[1.0]], [[1.0]])
+    report = verify_poly_bound(Polynomial([0.0, 0.0, 1.0]), generalized_foguel([[1.0]], [[1.0]]))
     assert report.applied_norm == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-12)
     assert report.bound == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-12)
     assert abs(report.slack) <= 1e-10
@@ -380,7 +388,7 @@ def test_verify_poly_bound_equality_fixture():
 
 def test_verify_poly_bound_constant():
     a = random_contraction(2, SeededGenerator(49))
-    report = verify_poly_bound(Polynomial([0.5]), a, np.zeros((2, 2)))
+    report = verify_poly_bound(Polynomial([0.5]), generalized_foguel(a, np.zeros((2, 2))))
     assert report.applied_norm == pytest.approx(0.5, abs=1e-12)
     assert report.bound == pytest.approx(1.0, abs=1e-12)
 
@@ -388,7 +396,13 @@ def test_verify_poly_bound_constant():
 def test_verify_poly_bound_rejects_large_sup():
     a = random_contraction(2, SeededGenerator(50))
     with pytest.raises(ValidationError, match="sup-norm"):
-        verify_poly_bound(Polynomial([0.0, 2.0]), a, np.eye(2))
+        verify_poly_bound(Polynomial([0.0, 2.0]), generalized_foguel(a, np.eye(2)))
+
+
+def test_verify_poly_bound_rejects_a_non_contraction_slot():
+    op = generalized_foguel(2.0 * np.eye(2), np.eye(2))
+    with pytest.raises(ValidationError, match="V must be a contraction"):
+        verify_poly_bound(Polynomial([0.0, 0.5]), op)
 
 
 def test_offdiagonal_norm_chain():
@@ -414,21 +428,21 @@ def test_offdiagonal_norm_chain():
 
 def _pair_and_quadratic(seed):
     gen = SeededGenerator(seed)
-    a, t = random_contraction(4, gen), ginibre(4, gen)
-    return a, t, generalized_foguel(a, t), Polynomial([0.25, 0.5j, -0.25])
+    op = generalized_foguel(random_contraction(4, gen), ginibre(4, gen))
+    return op, Polynomial([0.25, 0.5j, -0.25])
 
 
 def test_verify_poly_bound_takes_the_norm_of_the_direct_evaluation_passed_in():
-    a, t, r, p = _pair_and_quadratic(53)
-    report = verify_poly_bound(p, a, t)
-    assert verify_poly_bound(p, a, t, direct=p.at_matrix(r)) == report
-    halved = verify_poly_bound(p, a, t, direct=0.5 * p.at_matrix(r))
+    op, p = _pair_and_quadratic(53)
+    report = verify_poly_bound(p, op)
+    assert verify_poly_bound(p, op, direct=p.at_matrix(op.matrix)) == report
+    halved = verify_poly_bound(p, op, direct=0.5 * p.at_matrix(op.matrix))
     assert halved.applied_norm == pytest.approx(0.5 * report.applied_norm, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (9, 9), (8,)])
 def test_a_wrong_shaped_direct_evaluation_is_rejected(shape):
-    a, t, _, p = _pair_and_quadratic(54)
+    op, p = _pair_and_quadratic(54)
     wrong = np.zeros(shape, dtype=complex)
     with pytest.raises(ValidationError, match=r"direct evaluation must have shape \(8, 8\)"):
-        verify_poly_bound(p, a, t, direct=wrong)
+        verify_poly_bound(p, op, direct=wrong)

@@ -296,6 +296,19 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "jitter" in err
 
 
+def test_cli_config_file_naming_another_experiment_is_refused(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "verify-schur", "dim": 3}))
+    code, out, err = run_cli(["verify-norm", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "'verify-schur'" in err and "'verify-norm'" in err
+
+    # a matching name is accepted
+    path.write_text(json.dumps({"experiment": "verify-norm", "dim": 3, "trials": 1}))
+    code, _, _ = run_cli(["verify-norm", "--config", str(path)], capsys)
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "experiment, config, key",
     [
@@ -706,16 +719,35 @@ def test_power_trial_runs_no_matrix_power_of_order_2n(monkeypatch):
     assert len(calls) == 2  # one foguel_power call per trial, for n = 1
 
 
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS)
+def test_each_trial_validates_one_pair_per_operator(monkeypatch, experiment):
+    from foguel import linalg, models
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return linalg.require_pair(*args)
+
+    monkeypatch.setattr(models, "require_pair", counting)
+    monkeypatch.setattr(dil, "require_pair", counting)
+    config = ExperimentConfig(experiment, dim=3, trials=2, seed=3, shift_dims=(8, 16))
+    assert run_experiment(config).passed
+    # shift-convergence builds one operator per shift dim, every other runner one per trial
+    per_trial = 2 if experiment == "shift-convergence" else 1
+    assert len(calls) == per_trial * config.trials
+
+
 def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatch):
     power, step, seen = dil.foguel_power, dil._power_step, []
 
-    def first(v, t, n):
-        block = power(v, t, n)
+    def first(op, n):
+        block = power(op, n)
         seen.append(("power", n, None, block))
         return block
 
-    def stepping(v, t, previous):
-        block = step(v, t, previous)
+    def stepping(op, previous):
+        block = step(op, previous)
         seen.append(("step", None, previous, block))
         return block
 
@@ -726,7 +758,7 @@ def test_power_trial_carries_the_block_formula_not_the_direct_product(monkeypatc
     assert [(kind, n) for kind, n, *_ in seen] == ([("power", 1)] + [("step", None)] * 5) * 2
     before = None
     for kind, _, previous, block in seen:
-        # each step gets the block the previous step or foguel_power(v, t, 1) returned, never R^n
+        # each step gets the block the previous step or foguel_power(op, 1) returned, never R^n
         assert previous is (None if kind == "power" else before)
         before = block
 

@@ -547,7 +547,8 @@ def test_lanczos_norm_runs_unpatched_at_order_1024():
 
     assert linalg.LANCZOS_MIN_ORDER <= 1024
     gen = SeededGenerator(3)
-    w = lift_foguel(random_contraction(256, gen), ginibre(256, gen)).matrix
+    op = generalized_foguel(random_contraction(256, gen), ginibre(256, gen))
+    w = lift_foguel(op).matrix
     g = adjoint(w) @ w
     exact = float(np.sqrt(np.linalg.eigvalsh((g + adjoint(g)) / 2.0)[-1]))
     with _lanczos_from(linalg.LANCZOS_MIN_ORDER) as eigvalsh_orders:

@@ -11,7 +11,6 @@ from foguel import (
     generalized_foguel,
     ginibre,
     haar_unitary,
-    lift_foguel,
     operator_norm,
     random_contraction,
     truncated_shift,
@@ -106,11 +105,11 @@ def test_build_foguel_scalar_block():
     assert op.isometry_defect <= 1e-15
 
 
-def test_build_foguel_rejects_shift_in_strict_mode():
+def test_build_foguel_rejects_a_shift_slot_that_generalized_foguel_accepts():
     with pytest.raises(ValidationError, match="defect"):
         build_foguel(truncated_shift(3), np.zeros((3, 3)))
-    relaxed = build_foguel(truncated_shift(3), np.zeros((3, 3)), require_isometry=False)
-    assert abs(relaxed.isometry_defect - 1.0) <= 1e-12
+    op = generalized_foguel(truncated_shift(3), np.zeros((3, 3)))
+    assert abs(op.isometry_defect - 1.0) <= 1e-12
 
 
 def test_build_foguel_rejects_shape_mismatch():
@@ -118,18 +117,9 @@ def test_build_foguel_rejects_shape_mismatch():
         build_foguel(np.eye(2), np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize(
-    "pair_function",
-    [
-        generalized_foguel,
-        lift_foguel,
-    ],
-    ids=["generalized_foguel", "lift_foguel"],
-)
-def test_pair_functions_reject_shape_mismatch(pair_function):
-    # build_foguel's own case is test_build_foguel_rejects_shape_mismatch
-    with pytest.raises(ValidationError, match="matching"):
-        pair_function(np.eye(2), np.zeros((3, 3)))
+def test_generalized_foguel_rejects_shape_mismatch():
+    with pytest.raises(ValidationError, match="A and T must have matching shapes"):
+        generalized_foguel(np.eye(2), np.zeros((3, 3)))
 
 
 def test_zero_symbol_norm_is_one():
@@ -172,7 +162,7 @@ def test_shift_slot_respects_contraction_norm_bound():
     gen = SeededGenerator(25)
     for trial in range(20):
         t = ginibre(8, gen.substream(trial))
-        op = build_foguel(truncated_shift(8), t, require_isometry=False)
+        op = generalized_foguel(truncated_shift(8), t)
         bound = foguel_norm_closed(operator_norm(t))
         assert operator_norm(op.matrix) <= bound + 1e-10
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from foguel import dilation as dil
-from foguel import schur
+from foguel import experiments, models, schur, spectral
 from foguel.cli import main
 
 
@@ -38,6 +38,7 @@ def _assert_every_trial_fails(argv, capsys):
 SCHUR_ARGV = ["verify-schur", "--dim", "8", "--trials", "20", "--seed", "5"]
 POWER_ARGV = ["verify-power", "--dim", "8", "--trials", "5", "--seed", "5"]
 POLYNOMIAL_ARGV = ["verify-polynomial", "--dim", "8", "--trials", "5", "--seed", "5"]
+SPECTRUM_ARGV = ["verify-spectrum", "--dim", "8", "--trials", "5", "--seed", "5"]
 
 
 def test_schur_route_norm_off_by_a_relative_1e_8_fails_verify_schur(monkeypatch, capsys):
@@ -60,9 +61,9 @@ def test_power_step_with_a_shifted_offdiagonal_block_fails_verify_power(monkeypa
 
     original = dil._power_step
 
-    def shifted(a, t, previous):
-        block = original(a, t, previous)
-        k = a.shape[0]
+    def shifted(op, previous):
+        block = original(op, previous)
+        k = op.dim
         block[:k, k:] += 1e-6 * np.eye(k)  # D_n + 1e-6 I
         return block
 
@@ -132,3 +133,77 @@ def test_newton_iteration_that_never_moves_fails_verify_schur(monkeypatch, capsy
 
     assert main(SCHUR_ARGV) == 3
     assert "positivity holds at the lower end" in capsys.readouterr().err
+
+
+def _mutant_property(monkeypatch, name: str, edit: tuple) -> None:
+    """Put in ``FoguelOperator.<name>`` with ``edit`` made once, still a cached property."""
+    prop = _mutant(vars(models.FoguelOperator)[name].func, (edit,))[name]
+    prop.__set_name__(models.FoguelOperator, name)
+    monkeypatch.setattr(models.FoguelOperator, name, prop)
+
+
+def _mutant_runner(monkeypatch, experiment: str, edit: tuple) -> None:
+    """Put in ``experiment``'s runner with ``edit`` made once."""
+    spec = experiments.EXPERIMENTS[experiment]
+    runner = _mutant(spec.runner, (edit,))[spec.runner.__name__]
+    mutated = dataclasses.replace(spec, runner=runner)
+    monkeypatch.setitem(experiments.EXPERIMENTS, experiment, mutated)
+
+
+def test_a_wrong_branch_pair_fails_verify_spectrum(monkeypatch, capsys):
+    code, records = _records(SPECTRUM_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # lam_minus * lam_plus stays 1, so branch-product cannot see it; the
+    # predicted multiset comes from the same formula and can
+    namespace = _mutant(spectral._branches, (
+        ("return 1.0 / lam_plus, lam_plus", "return 0.25 / lam_plus, 4.0 * lam_plus"),
+    ))
+    monkeypatch.setattr(spectral, "_branches", namespace["_branches"])
+    _assert_every_trial_fails(SPECTRUM_ARGV, capsys)
+
+
+def test_power_step_off_by_one_in_the_offdiagonal_block_fails_verify_power(monkeypatch, capsys):
+    code, records = _records(POWER_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # D_n = A* D_(n-1) + T A^n, one power of A too many
+    namespace = _mutant(dil._power_step, (("op.t @ a_prev", "op.t @ a_pow"),))
+    monkeypatch.setattr(dil, "_power_step", namespace["_power_step"])
+    _assert_every_trial_fails(POWER_ARGV, capsys)
+
+
+def test_power_bound_without_its_factor_n_fails_verify_power(monkeypatch, capsys):
+    code, records = _records(POWER_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # ||R^n|| held against Phi(||T||) instead of Phi(n ||T||)
+    _mutant_runner(monkeypatch, "verify-power", (
+        "foguel_norm_closed(n * t_norm)", "foguel_norm_closed(t_norm)"
+    ))
+    _assert_every_trial_fails(POWER_ARGV, capsys)
+
+
+def test_gram_corner_without_the_symbol_gram_is_refused_by_verify_schur(monkeypatch, capsys):
+    code, records = _records(SCHUR_ARGV, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # V* V in place of V* V + T T*: the Schur route then contradicts its own bracket
+    _mutant_property(monkeypatch, "gram_corner", (
+        "adjoint(self.v) @ self.v + self.t @ adjoint(self.t)", "adjoint(self.v) @ self.v"
+    ))
+    assert main(SCHUR_ARGV) == 3
+    assert "internal consistency error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [POWER_ARGV, POLYNOMIAL_ARGV], ids=lambda argv: argv[0])
+def test_direct_route_matrix_with_v_in_place_of_v_star_fails(monkeypatch, capsys, argv):
+    code, records = _records(argv, capsys)
+    assert code == 0 and records[-1]["pass"]
+
+    # R = [[V, T], [0, V]]: the block calculus forms its blocks from op.v and
+    # op.t, not from op.matrix, so the two routes disagree
+    _mutant_property(monkeypatch, "matrix", (
+        "block2(adjoint(self.v), self.t, None, self.v)", "block2(self.v, self.t, None, self.v)"
+    ))
+    _assert_every_trial_fails(argv, capsys)

@@ -15,6 +15,7 @@ from foguel import (
     build_foguel,
     foguel_norm_closed,
     foguel_positivity,
+    generalized_foguel,
     ginibre,
     haar_unitary,
     neumann_eval,
@@ -158,7 +159,7 @@ def test_foguel_positivity_verdicts_agree():
         sub = gen.substream(1000 + trial)
         v = truncated_shift(4) if trial % 2 else random_contraction(4, sub)
         t = ginibre(4, sub)
-        op = build_foguel(v, t, require_isometry=False)
+        op = generalized_foguel(v, t)
         level = sub.uniform(1.05, foguel_norm_closed(operator_norm(t)) + 1.0)
         cert = foguel_positivity(op, level)
         eye = np.eye(4)
@@ -194,7 +195,8 @@ def test_foguel_positivity_verdict_is_exact_at_the_norm(slot, dim):
             v = random_contraction(dim, gen)
         else:
             v = truncated_shift(dim)
-        op = build_foguel(v, ginibre(dim, gen), require_isometry=slot == "unitary")
+        build = build_foguel if slot == "unitary" else generalized_foguel
+        op = build(v, ginibre(dim, gen))
         norm = operator_norm(op.matrix)
         lower, upper = norm - 1e-9, norm + 1e-9
         assert not _exact_verdict(foguel_positivity(op, lower))
@@ -282,7 +284,7 @@ def test_neumann_binary_splitting_matches_the_loop_at_every_order(dim):
     gen = SeededGenerator(72 + dim)
     g, t = ginibre(dim, gen), ginibre(dim, gen)
     v = 0.95 * g / operator_norm(g)
-    op = build_foguel(v, t, require_isometry=False)
+    op = generalized_foguel(v, t)
     for order in range(34):  # every bit pattern of order + 1 through 6 bits
         expected = _neumann_loop(v, t, 1.05, order)
         value = neumann_eval(op, 1.05, order)

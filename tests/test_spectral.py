@@ -15,6 +15,7 @@ from foguel import (
     foguel_inverse,
     foguel_norm_closed,
     forward_map,
+    generalized_foguel,
     ginibre,
     gram_minus_identity_inverse,
     haar_unitary,
@@ -188,7 +189,7 @@ def test_spectral_mapping_rank_deficient_symbol():
 
 
 def test_spectral_mapping_rejects_shift():
-    op = build_foguel(truncated_shift(3), np.zeros((3, 3)), require_isometry=False)
+    op = generalized_foguel(truncated_shift(3), np.zeros((3, 3)))
     with pytest.raises(ValidationError, match="unitary"):
         verify_spectral_mapping(op, Tolerance(atol=1e-8))
 
@@ -303,7 +304,7 @@ def test_foguel_inverse_random_residuals():
 
 
 def test_foguel_inverse_requires_unitary():
-    op = build_foguel(truncated_shift(2), np.zeros((2, 2)), require_isometry=False)
+    op = generalized_foguel(truncated_shift(2), np.zeros((2, 2)))
     with pytest.raises(ValidationError, match="unitary"):
         foguel_inverse(op)
 

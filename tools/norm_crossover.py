@@ -4,15 +4,15 @@
     python3 tools/norm_crossover.py --repeats 5
 
 Each order m takes the lifted Foguel operator ``W`` of verify-dilation at
-dim m/4 (``lift_foguel(random_contraction, ginibre)``, seed 11), the
-matrix whose norm is the largest eigensolve of a verifier trial.  Both
-paths form ``g = W* W`` made exactly Hermitian; the exact path then runs
-``eigvalsh``, the certified path the gap-certified Lanczos kernel (and
-``eigvalsh`` too when that falls back).  One line per order gives the
-median milliseconds of each path and their ratio, the Lanczos steps, the
-relative enclosure width, the kernel's verdict, and the worst extra cost
-of a fallback: ``LANCZOS_MAX_STEPS`` steps at the measured cost per step
-plus one Cholesky of order m, in percent of the exact path.
+dim m/4 (the lift of ``generalized_foguel(random_contraction, ginibre)``,
+seed 11), the matrix whose norm is the largest eigensolve of a verifier
+trial.  Both paths form ``g = W* W`` made exactly Hermitian; the exact
+path then runs ``eigvalsh``, the certified path the gap-certified Lanczos
+kernel (and ``eigvalsh`` too when that falls back).  One line per order
+gives the median milliseconds of each path and their ratio, the Lanczos
+steps, the relative enclosure width, the kernel's verdict, and the worst
+extra cost of a fallback: ``LANCZOS_MAX_STEPS`` steps at the measured
+cost per step plus one Cholesky of order m, in percent of the exact path.
 
 ``linalg.LANCZOS_MIN_ORDER`` is the smallest order at which the certified
 path is clearly faster and that worst extra cost stays at or below about
@@ -40,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from foguel import linalg  # noqa: E402
-from foguel.dilation import lift_foguel  # noqa: E402
+from foguel.dilation import generalized_foguel, lift_foguel  # noqa: E402
 from foguel.models import SeededGenerator, ginibre, random_contraction  # noqa: E402
 
 ORDERS = (256, 512, 1024, 2048)
@@ -49,7 +49,7 @@ ORDERS = (256, 512, 1024, 2048)
 def lifted(order: int) -> np.ndarray:
     gen = SeededGenerator(11)
     dim = order // 4
-    return lift_foguel(random_contraction(dim, gen), ginibre(dim, gen)).matrix
+    return lift_foguel(generalized_foguel(random_contraction(dim, gen), ginibre(dim, gen))).matrix
 
 
 def hermitian_gram(m: np.ndarray) -> np.ndarray:
